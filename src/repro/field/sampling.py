@@ -11,7 +11,17 @@ parameters are mutually independent (paper §2.1 assumption).
   the sampling — the dimensionality wall the paper attacks.
 - :class:`KLESampleGenerator` — **Algorithm 2**, the paper's method: draw
   ``N × r`` iid normals, map through ``D_λ`` (r ≈ 25), then gather each
-  gate's containing-triangle row.  Cost ``O(N · r · n + N_g)``.
+  gate's containing-triangle row.  Cost ``O(N · r · n + N_g)``: the
+  ``N × n`` triangle values cost ``N · r · n`` multiply-adds, the gather
+  only a copy.  ``generate(expand=False)`` stops before the gather and
+  returns the triangle values plus each gate's triangle column
+  (:attr:`SampleGenerationResult.columns`); the timing engine gathers
+  through that map per gate and sample, so the ``N × N_g`` matrices
+  (``4 × 2000 × 9772`` doubles = 625 MB on s15850) are never built.
+
+Every sample matrix either generator returns is C-contiguous: gathers
+use ``np.take(..., axis=1)``, because fancy indexing ``values[:, idx]``
+returns a Fortran-ordered array that slows every row-block reader.
 """
 
 from __future__ import annotations
@@ -35,7 +45,8 @@ class SampleGenerationResult:
     Attributes
     ----------
     samples:
-        Mapping parameter name → ``(N, N_g)`` normalized sample matrix.
+        Mapping parameter name → ``(N, N_g)`` normalized sample matrix,
+        or ``(N, K)`` values when ``columns`` maps gates into them.
     setup_seconds:
         One-time cost (Cholesky factorization / gate-to-triangle lookup).
     generate_seconds:
@@ -45,6 +56,11 @@ class SampleGenerationResult:
     samples: Dict[str, np.ndarray]
     setup_seconds: float = 0.0
     generate_seconds: float = 0.0
+    #: Parameter name → 1-D int64 gate→column map into ``samples[name]``
+    #: (``generate(expand=False)`` on Algorithm 2: each gate's triangle);
+    #: ``None`` means per-gate samples (the identity map).  Pass it on as
+    #: ``STAEngine.run(..., columns=)``.
+    columns: Optional[Dict[str, np.ndarray]] = None
 
     @property
     def total_seconds(self) -> float:
@@ -146,8 +162,16 @@ class CholeskySampleGenerator:
         num_samples: int,
         *,
         seed: SeedLike = None,
+        expand: bool = True,
     ) -> SampleGenerationResult:
-        """Produce the per-parameter ``(N, N_g)`` sample matrices."""
+        """Produce the per-parameter ``(N, N_g)`` sample matrices.
+
+        Algorithm 1 samples are per gate already, so ``expand`` changes
+        nothing: the result always has ``columns=None`` (the identity).
+        It is accepted so callers can ask either generator for its
+        compact form.
+        """
+        del expand
         if num_samples < 1:
             raise ValueError(f"num_samples must be >= 1, got {num_samples}")
         setup_seconds = self.prepare(gate_locations)
@@ -229,7 +253,13 @@ class KLESampleGenerator:
         for kle in self.kles.values():
             key = id(kle)
             if key not in self._triangle_cache:
-                self._triangle_cache[key] = kle.locator.locate_many(gate_locations)
+                triangles = np.asarray(
+                    kle.locator.locate_many(gate_locations), dtype=np.int64
+                )
+                # Handed out as SampleGenerationResult.columns: callers
+                # share the cached map, so it must not be writable.
+                triangles.flags.writeable = False
+                self._triangle_cache[key] = triangles
         self._cached_locations = gate_locations.copy()
         return time.perf_counter() - start
 
@@ -239,8 +269,17 @@ class KLESampleGenerator:
         num_samples: int,
         *,
         seed: SeedLike = None,
+        expand: bool = True,
     ) -> SampleGenerationResult:
-        """Produce the per-parameter ``(N, N_g)`` sample matrices."""
+        """Produce the per-parameter samples from one set of RNG draws.
+
+        ``expand=True`` (the default) returns ``(N, N_g)`` per-gate
+        matrices.  ``expand=False`` returns each parameter's ``(N, n_t)``
+        triangle values with its gate→triangle map in
+        :attr:`SampleGenerationResult.columns`; gathering those columns
+        gives the expanded matrices bit for bit (the cross-parameter mix
+        is elementwise, so it commutes exactly with the gather).
+        """
         if num_samples < 1:
             raise ValueError(f"num_samples must be >= 1, got {num_samples}")
         setup_seconds = self.prepare(gate_locations)
@@ -266,14 +305,42 @@ class KLESampleGenerator:
                 name: _draw_normals(rng, num_samples, self.r[name], self.sampler)
                 for (name, _kle), rng in zip(self.kles.items(), generators)
             }
-        for name, kle in self.kles.items():
+        columns = {
+            name: self._triangle_cache[id(kle)]
+            for name, kle in self.kles.items()
+        }
+        # Compact values share one allocation: it is returned to the OS
+        # as soon as the caller drops it, instead of leaving (N, n_t)
+        # holes in the heap that pin resident memory between calls.
+        widths = {
+            name: self._reconstruction[name].shape[0] for name in self.kles
+        }
+        pool = None
+        if not expand:
+            pool = np.empty(num_samples * sum(widths.values()))
+        offset = 0
+        for name in self.kles:
             d_lambda = self._reconstruction[name]  # (nt, r)
-            triangle_values = xi_blocks[name] @ d_lambda.T  # (N, nt)
-            gate_triangles = self._triangle_cache[id(kle)]
-            raw[name] = triangle_values[:, gate_triangles]
+            if pool is None:
+                # Gathering each parameter as soon as it exists keeps
+                # one (N, nt) temporary alive next to the outputs.
+                values = xi_blocks[name] @ d_lambda.T  # (N, nt)
+                raw[name] = np.take(values, columns[name], axis=1)
+                continue
+            size = num_samples * widths[name]
+            raw[name] = pool[offset : offset + size].reshape(
+                num_samples, widths[name]
+            )
+            np.matmul(xi_blocks[name], d_lambda.T, out=raw[name])
+            offset += size
         samples = _mix_parameters(raw, self._cross_upper)
         generate_seconds = time.perf_counter() - start
-        return SampleGenerationResult(samples, setup_seconds, generate_seconds)
+        return SampleGenerationResult(
+            samples,
+            setup_seconds,
+            generate_seconds,
+            None if expand else columns,
+        )
 
 
 def _draw_normals(

@@ -167,11 +167,15 @@ class CoupledLevelSampler:
             xi[name] = block
             if fine_fields is not None:
                 triangle_values = block @ fmap.d_lambda.T
-                fine_fields[name] = triangle_values[:, fmap.triangles]
+                fine_fields[name] = np.take(
+                    triangle_values, fmap.triangles, axis=1
+                )
             if coarse_fields is not None:
                 cmap = self._coarse_maps[name]
                 coarse_values = block[:, : cmap.rank] @ cmap.d_lambda.T
-                coarse_fields[name] = coarse_values[:, cmap.triangles]
+                coarse_fields[name] = np.take(
+                    coarse_values, cmap.triangles, axis=1
+                )
         seconds = time.perf_counter() - start
         return CoupledDraw(
             xi=xi,

@@ -76,7 +76,9 @@ class LinearDelaySurrogate:
         for name, pmap in self._maps.items():
             block = xi[:, offset : offset + pmap.rank]
             offset += pmap.rank
-            fields[name] = (block @ pmap.d_lambda.T)[:, pmap.triangles]
+            fields[name] = np.take(
+                block @ pmap.d_lambda.T, pmap.triangles, axis=1
+            )
         return fields
 
     def _build(self, engine: STAEngine) -> None:

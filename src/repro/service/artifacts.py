@@ -318,7 +318,9 @@ class ArtifactRegistry:
             program = harness.engine._program
             if program is not None:
                 total += program.resident_bytes()
-                total += program.native_scratch_bytes(threads)
+                total += program.native_scratch_bytes(
+                    threads, harness.value_columns()
+                )
         for kle in kles:
             total += int(kle.eigenvalues.nbytes + kle.d_vectors.nbytes)
         return total

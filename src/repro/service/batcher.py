@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.field.sampling import SampleGenerationResult
 from repro.service.faults import FaultInjector
 from repro.service.request import (
     AnalysisRequest,
@@ -125,14 +126,16 @@ def _generation_round(
     live: List[ActiveRequest],
     harness: MonteCarloSSTA,
     batch_size: int,
-) -> List[Tuple[ActiveRequest, int, Dict[str, np.ndarray]]]:
+) -> List[Tuple[ActiveRequest, int, SampleGenerationResult]]:
     """Generate each live request's next chunk from its own seed stream.
 
-    Cancelled streams are finished and skipped *before* their generator
-    would have been advanced, so a disconnect never perturbs the
-    request's own (or any peer's) sample stream had it survived.
+    Samples come in the compact form the serial flow uses
+    (``expand=False``).  Cancelled streams are finished and skipped
+    *before* their generator would have been advanced, so a disconnect
+    never perturbs the request's own (or any peer's) sample stream had
+    it survived.
     """
-    parts: List[Tuple[ActiveRequest, int, Dict[str, np.ndarray]]] = []
+    parts: List[Tuple[ActiveRequest, int, SampleGenerationResult]] = []
     for active in live:
         if active.stream.cancelled:
             active.finish(
@@ -152,15 +155,15 @@ def _generation_round(
         )
         seed: SeedLike = active.rng if active.chunked else active.seed
         generated = generator.generate(
-            harness.gate_locations, rows, seed=seed
+            harness.gate_locations, rows, seed=seed, expand=False
         )
         active.sample_seconds += generated.total_seconds
-        parts.append((active, rows, dict(generated.samples)))
+        parts.append((active, rows, generated))
     return parts
 
 
 def _split_round(
-    parts: List[Tuple[ActiveRequest, int, Dict[str, np.ndarray]]],
+    parts: List[Tuple[ActiveRequest, int, SampleGenerationResult]],
     sta: STAResult,
     sweep_seconds: float,
     batch_size: int,
@@ -270,15 +273,20 @@ def execute_batch(
         parts = _generation_round(live, harness, batch_size)
         if not parts:
             return
-        names = list(parts[0][2])
+        # Every part comes from the same generator (equal batch keys), so
+        # the parts share one gate→column map per parameter and their
+        # compact values stack row-wise.
+        names = list(parts[0][2].samples)
         combined = {
-            name: np.concatenate([samples[name] for _, _, samples in parts])
+            name: np.concatenate(
+                [generated.samples[name] for _, _, generated in parts]
+            )
             for name in names
         }
         start = time.perf_counter()
         try:
             faults.fire("sweep")
-            sta = harness.engine.run(combined)
+            sta = harness.engine.run(combined, columns=parts[0][2].columns)
         except Exception as exc:  # repro-lint: disable=REPRO-EXC001
             # Containment boundary: a failed sweep fails this batch's
             # requests with a typed terminal result and returns; the

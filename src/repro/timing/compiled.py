@@ -35,9 +35,20 @@ Performance comes from four structural decisions:
    cache-resident; every sample matrix element is read from main memory
    exactly once.  Per-sample results are independent, so blocked and
    unblocked runs are bitwise identical.
-2. **Fused projection.**  The ``u = Σ_j w_j p_j`` projection is
-   accumulated per block straight from the caller's sample matrices —
-   the full ``(N, N_g)`` projection matrix is never materialized.
+2. **Fused projection.**  Each parameter arrives as a value matrix plus
+   an optional gate→column map: per-gate ``(N, N_g)`` samples (no map,
+   the identity) or Algorithm 2's ``(N, n_t)`` triangle values with each
+   gate's containing-triangle column.  The native kernel computes
+   ``u = Σ_j w_j p_j[col_j]`` itself, per gate and lane, from a packed
+   ``(K, B)`` block — every parameter's ``K_j`` value columns side by
+   side, each column's ``B`` sample lanes contiguous like the arenas —
+   and per-gate column/weight tables, so the projection threads with
+   the lanes and stays bitwise under every lane partition.  Neither the
+   gathered ``(N, N_g)`` samples nor ``u`` is ever materialized; the
+   gather costs 4 loads per gate per sample (Algorithm 2 reads
+   ``4·n_t`` values per sample instead of ``4·N_g``).  The numpy path
+   gathers each block's columns with ``np.take`` and accumulates ``u``
+   per block, bitwise as on pre-gathered samples.
 3. **Fanin grouping.**  Gates within a level are reordered by fanin
    count so each group is a regular ``(N_b, G, k)`` reshape *view*
    (no ragged segments, no ``reduceat``), and per-gate coefficients
@@ -89,16 +100,24 @@ from repro.timing.wire import LN9, WireModel, pack_wire_models
 #: counted against the budget.
 BLOCK_BYTE_BUDGET = 96 * 1024 * 1024
 
-#: Byte budget for the native kernel's per-block working set.  Much
-#: tighter than the numpy budget: the kernel reads ``u`` column-wise
-#: (stride ``N_g`` doubles), so the whole ``(N_b, N_g)`` projection must
-#: stay cache-resident or every element costs a full cache-line fetch.
-#: Measured on s15850/N=2000 the optimum is flat across 32–128 samples
-#: per block and ~35% faster than RAM-sized blocks.  With ``T`` kernel
-#: threads the budget is divided by ``T``: each worker owns ``1/T`` of
-#: the block's lanes plus a private scratch block, and the per-core
-#: caches it runs out of don't grow with the team size.
+#: Byte budget for the native kernel's per-block working set: the packed
+#: ``(K, N_b)`` value block (``K`` = summed value columns, ``4·n_t`` for
+#: Algorithm 2, ``4·N_g`` for per-gate samples), both arenas and the
+#: per-worker scratch.  Much tighter than the numpy budget: the kernel
+#: reads each gate's value columns at scattered offsets, so the packed
+#: block should stay cache-resident.  On s15850/N=2000 (2-core Xeon,
+#: 4 MiB L2 per core) the Algorithm 2 sweep was flat within run-to-run
+#: noise from 1 to 24 MiB.  With ``T`` kernel threads the budget is
+#: divided by ``T``: each worker owns ``1/T`` of the block's lanes plus
+#: a private scratch block, and the per-core caches it runs out of don't
+#: grow with the team size.
 NATIVE_BLOCK_BYTE_BUDGET = 12 * 1024 * 1024
+
+#: One parameter's input to :meth:`CompiledTimingProgram.execute`:
+#: ``(values, columns, weights)`` — an ``(N, K)`` value matrix, the
+#: ``(N_g,)`` int64 gate→column map into it (``None`` for per-gate
+#: ``(N, N_g)`` values) and the per-gate sensitivity weight column.
+ParameterTerm = Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -462,7 +481,6 @@ class CompiledTimingProgram:
         # obligations by unifying these sizes with the bound.
         assert self._k_out_slot.size == self._k_fanin.size
         assert self._k_out_col.size == self._k_fanin.size
-        assert self._k_gid.size == self._k_fanin.size
         assert self._k_bd.size == self._k_fanin.size
         assert self._k_dsl.size == self._k_fanin.size
         assert self._k_bs.size == self._k_fanin.size
@@ -477,6 +495,10 @@ class CompiledTimingProgram:
         self._dff_out_cols = dff_out_cols
         self._dff_out_slots = dff_out_slots
         self._dff_gate_ids = dff_gate_ids
+        # Netlist gate index of each kernel projection row: the DFFs,
+        # then the scheduled gates — the row order of the u_col / u_w
+        # tables sta_kernel.c walks.
+        self._proj_gid = np.concatenate([dff_gate_ids, self._k_gid])
         self._dff_d0 = packed.d0[dff_gate_ids]
         self._dff_d_load = packed.d_load[dff_gate_ids]
         self._dff_s0 = packed.s0[dff_gate_ids]
@@ -557,49 +579,63 @@ class CompiledTimingProgram:
         return max(32, min(num_samples, BLOCK_BYTE_BUDGET // per_sample))
 
     def _native_block_size(
-        self, num_samples: int, width: int, threads: int = 1
+        self,
+        num_samples: int,
+        width: int,
+        threads: int = 1,
+        value_columns: int = 0,
     ) -> int:
         """Sample block size for the native kernel (see the budget note).
 
+        The per-sample working set is the lane's ``K`` packed values
+        (``value_columns``, every parameter's columns side by side), its
+        arena slots and its share of the scratch.
         ``threads`` divides the byte budget so each worker's share of
-        the block — its lane slice of the arenas and ``u``, plus its
+        the block — its lane slice of the arenas and values, plus its
         private ``4 × B`` scratch block — still fits the per-core cache
         it actually runs out of.
         """
         per_sample = 8 * (
-            2 * self._packed_models.num_gates
+            max(value_columns, 0)
             + 2 * max(width, 1)
             + 4 * max(threads, 1)
             + 4
         )
         budget = NATIVE_BLOCK_BYTE_BUDGET // max(threads, 1)
-        return max(32, min(num_samples, budget // per_sample))
+        # Whole 64-byte lines per arena row: the kernel cuts the lane
+        # partition at line boundaries, which needs every row to share
+        # the base's line phase.
+        lanes = budget // per_sample // 8 * 8
+        return max(32, min(num_samples, lanes))
 
-    def native_scratch_bytes(self, threads: int = 1) -> int:
+    def native_scratch_bytes(
+        self, threads: int = 1, value_columns: int = 0
+    ) -> int:
         """Transient bytes one native ``execute`` holds at ``threads``.
 
-        The arenas, the per-worker scratch blocks, and the per-block
-        ``u`` projection buffers for a full-sized (budget-bound) block.
-        Not part of :meth:`resident_bytes` — these buffers live only for
-        the duration of a run — but the service accounts them so a
+        The arenas, the per-worker scratch blocks, and the packed
+        ``(K, B)`` value block for a full-sized (budget-bound) block,
+        where ``K = value_columns`` is the summed width of the value
+        matrices a run passes (``P·N_g`` for per-gate samples, ``Σ n_t``
+        for Algorithm 2's triangle values).  Not part of
+        :meth:`resident_bytes` — these buffers live only for the
+        duration of a run — but the service accounts them so a
         thread-count change shows up in capacity planning.
         """
         threads = max(int(threads), 1)
+        value_columns = max(int(value_columns), 0)
         width = self.num_slots
         block = self._native_block_size(
-            NATIVE_BLOCK_BYTE_BUDGET, width, threads
+            NATIVE_BLOCK_BYTE_BUDGET, width, threads, value_columns
         )
-        num_gates = self._packed_models.num_gates
-        per_block = 2 * width + 4 * threads + 2 * num_gates
+        per_block = 2 * width + 4 * threads + value_columns
         return 8 * block * per_block
 
     def execute(
         self,
         num_samples: int,
         *,
-        parameter_products: Optional[
-            Sequence[Tuple[np.ndarray, np.ndarray]]
-        ] = None,
+        parameter_products: Optional[Sequence[ParameterTerm]] = None,
         r_scales: Optional[np.ndarray] = None,
         c_scales: Optional[np.ndarray] = None,
         input_slew_ps: float,
@@ -611,10 +647,11 @@ class CompiledTimingProgram:
         Parameters
         ----------
         parameter_products:
-            ``(matrix, weights)`` pairs — each an ``(N, N_g)`` sample
-            matrix and its per-gate sensitivity weight column — whose
-            products accumulate into the rank-one projection ``u = wᵀp``.
-            ``None`` runs a nominal analysis.
+            ``(values, columns, weights)`` terms (:data:`ParameterTerm`),
+            one per parameter, whose gathered, weighted values accumulate
+            into the rank-one projection ``u = wᵀp`` in sequence order.
+            Maps are trusted here (the engine validates them).  ``None``
+            runs a nominal analysis.
         r_scales / c_scales:
             Optional ``(N, num_nets)`` wire R/C scale matrices in
             ``net_order`` column order (already validated by the engine).
@@ -681,11 +718,18 @@ class CompiledTimingProgram:
             if parameter_products:
                 u = u_buffer[:rows]
                 tmp = tmp_buffer[:rows]
-                for j, (matrix, weights) in enumerate(parameter_products):
-                    if j == 0:
-                        np.multiply(matrix[start:stop], weights, out=u)
-                    else:
-                        np.multiply(matrix[start:stop], weights, out=tmp)
+                for j, (values, columns, weights) in enumerate(
+                    parameter_products
+                ):
+                    term = u if j == 0 else tmp
+                    part = values[start:stop]
+                    if columns is not None:
+                        # The gather is a copy, so the product below is
+                        # bitwise the one on pre-gathered samples.
+                        np.take(part, columns, axis=1, out=term, mode="clip")
+                        part = term
+                    np.multiply(part, weights, out=term)
+                    if j:
                         u += tmp
             rb = None if r_scales is None else r_scales[start:stop]
             cb = None if c_scales is None else c_scales[start:stop]
@@ -724,20 +768,21 @@ class CompiledTimingProgram:
         self,
         kernel: Callable[..., None],
         num_samples: int,
-        parameter_products: Optional[
-            Sequence[Tuple[np.ndarray, np.ndarray]]
-        ],
+        parameter_products: Optional[Sequence[ParameterTerm]],
         input_slew_ps: float,
         keep_all: bool,
         threads: int = 1,
     ) -> CompiledRunOutput:
         """Drive ``sta_kernel.c`` over sample blocks.
 
-        The numpy side only builds the per-block ``u`` projection (a
-        streaming pass over the sample matrices) and reads back the end
-        arrivals; everything between lives in the kernel's fused
-        per-gate loop.  The arenas are flat ``(width × B)`` buffers in
-        slot-major order, so partial trailing blocks simply use a
+        The numpy side only packs each block's parameter values as
+        ``(K, B)`` value columns — every parameter's columns side by
+        side, each column's sample lanes contiguous — and reads back
+        the end arrivals.  The projection ``u`` and everything after it
+        live in the kernel's fused per-gate loop, which gathers each
+        gate's values through the ``u_col``/``u_w`` tables built here
+        once per call.  The packed block and the arenas are flat
+        ``(rows × B)`` buffers, so partial trailing blocks simply use a
         shorter sample stride — per-sample results are independent of
         the blocking, keeping chunked runs bitwise identical.
 
@@ -754,16 +799,12 @@ class CompiledTimingProgram:
         if threads > 1 and kernel_mt is None:
             threads = 1
         width = self.num_nets if keep_all else self.num_slots
-        num_gates = self._packed_models.num_gates
-        block = self._native_block_size(num_samples, width, threads)
-
-        arena_a = np.empty(width * block)
-        arena_s = np.empty(width * block)
-        kscratch = np.empty(4 * block * threads)
-        u_buffer = tmp_buffer = None
-        if parameter_products:
-            u_buffer = np.empty((block, num_gates))
-            tmp_buffer = np.empty((block, num_gates))
+        products = list(parameter_products or ())
+        num_params = len(products)
+        value_cols = sum(values.shape[1] for values, _, _ in products)
+        block = self._native_block_size(
+            num_samples, width, threads, value_cols
+        )
 
         pi_idx = self._pi_cols if keep_all else self._pi_slots
         dff_idx = self._dff_out_cols if keep_all else self._dff_out_slots
@@ -773,6 +814,24 @@ class CompiledTimingProgram:
         out_names = self.net_order if keep_all else self._end_names
         end_out = np.empty((len(out_names), num_samples))
         worst = np.empty(num_samples)
+
+        arena_a = np.empty(width * block)
+        arena_s = np.empty(width * block)
+        kscratch = np.empty(4 * block * threads)
+        packed = u_col = u_w = None
+        if products:
+            # One projection row per DFF and per scheduled gate, P
+            # (column, weight) pairs each.  The size pin: both tables
+            # are allocated from exactly the counts the call passes as
+            # num_dff / num_gates / num_params, so REPRO-SHAPE002 proves
+            # the kernel's (num_dff + num_gates) * P extent directly.
+            num_dff = dff_idx.size
+            num_gates = self._k_fanin.size
+            table_size = (num_dff + num_gates) * num_params
+            u_col = np.empty(table_size, dtype=np.int64)
+            u_w = np.empty(table_size)
+            self._fill_projection_tables(u_col, u_w, products)
+            packed = np.empty(block * value_cols)
 
         p_f64 = ctypes.POINTER(ctypes.c_double)
         p_i64 = ctypes.POINTER(ctypes.c_int64)
@@ -786,27 +845,26 @@ class CompiledTimingProgram:
         for start in range(0, num_samples, block):
             stop = min(start + block, num_samples)
             rows = stop - start
-            u = None
-            if parameter_products:
-                u = u_buffer[:rows]
-                tmp = tmp_buffer[:rows]
-                for j, (matrix, weights) in enumerate(parameter_products):
-                    if j == 0:
-                        np.multiply(matrix[start:stop], weights, out=u)
-                    else:
-                        np.multiply(matrix[start:stop], weights, out=tmp)
-                        u += tmp
+            if packed is not None:
+                lanes = packed[: value_cols * rows].reshape(value_cols, rows)
+                offset = 0
+                for values, _, _ in products:
+                    cols = values.shape[1]
+                    lanes[offset : offset + cols] = values[start:stop].T
+                    offset += cols
             entry: Any = kernel if threads == 1 else kernel_mt
             extra: Tuple[int, ...] = () if threads == 1 else (threads,)
             entry(
                 rows,
-                num_gates,
-                pd(u) if u is not None else None,
+                num_params,
+                value_cols,
+                pd(packed) if packed is not None else None,
+                pi(u_col) if u_col is not None else None,
+                pd(u_w) if u_w is not None else None,
                 input_slew_ps,
                 pi(pi_idx),
                 pi_idx.size,
                 pi(dff_idx),
-                pi(self._dff_gate_ids),
                 pd(self._dff_dnom),
                 pd(self._dff_snom),
                 pd(self._dff_k1),
@@ -817,7 +875,6 @@ class CompiledTimingProgram:
                 self._k_fanin.size,
                 pi(self._k_fanin),
                 pi(out_slot),
-                pi(self._k_gid),
                 pd(self._k_bd),
                 pd(self._k_dsl),
                 pd(self._k_bs),
@@ -861,6 +918,30 @@ class CompiledTimingProgram:
             worst_delay=worst,
             num_samples=num_samples,
         )
+
+    def _fill_projection_tables(
+        self,
+        u_col: np.ndarray,
+        u_w: np.ndarray,
+        products: Sequence[ParameterTerm],
+    ) -> None:
+        """Write the kernel's per-row value columns and weights.
+
+        Row ``r`` (a DFF, then a scheduled gate; see ``_proj_gid``)
+        holds, for each parameter ``j`` in order, the packed-block column
+        of that gate's value — parameter ``j``'s offset plus its map
+        entry (the gate index itself for per-gate values) — and the
+        gate's weight for ``j``.
+        """
+        rows = self._proj_gid
+        cols = u_col.reshape(rows.size, len(products))
+        weights = u_w.reshape(rows.size, len(products))
+        offset = 0
+        for j, (values, columns, term_weights) in enumerate(products):
+            gate_cols = rows if columns is None else np.take(columns, rows)
+            cols[:, j] = gate_cols + offset
+            weights[:, j] = np.take(term_weights, rows)
+            offset += values.shape[1]
 
     def _init_dffs(
         self,

@@ -340,11 +340,11 @@ def kernel_argtypes() -> List[type]:
     p_i64 = ctypes.POINTER(ctypes.c_int64)
     p_f64 = ctypes.POINTER(ctypes.c_double)
     return [
-        i64, i64, p_f64, ctypes.c_double,
+        i64, i64, i64, p_f64, p_i64, p_f64, ctypes.c_double,
         p_i64, i64,
-        p_i64, p_i64, p_f64, p_f64, p_f64, p_f64, p_f64, p_f64, i64,
+        p_i64, p_f64, p_f64, p_f64, p_f64, p_f64, p_f64, i64,
         i64,
-        p_i64, p_i64, p_i64,
+        p_i64, p_i64,
         p_f64, p_f64, p_f64, p_f64,
         p_f64, p_f64, p_f64, p_f64,
         p_i64, p_f64, p_f64,

@@ -313,6 +313,20 @@ class MonteCarloSSTA:
         """The truncation order actually used (max across parameters)."""
         return max(self.kle_generator.r.values())
 
+    def value_columns(self) -> int:
+        """Widest per-sample value row either flow feeds the engine.
+
+        Algorithm 1 passes every parameter's per-gate samples
+        (``P·N_g``), Algorithm 2 every parameter's triangle values
+        (``Σ_j n_t``); the native kernel packs one such row per sample
+        lane, so this sizes its working set.
+        """
+        per_gate = len(self.kernels) * self.netlist.num_gates
+        per_triangle = sum(
+            int(kle.d_vectors.shape[0]) for kle in self.kles.values()
+        )
+        return max(per_gate, per_triangle)
+
     # ------------------------------------------------------------------
     # The two flows.
     # ------------------------------------------------------------------
@@ -363,20 +377,24 @@ class MonteCarloSSTA:
     ) -> SSTARun:
         """Run one flow, either in one shot or as streamed chunks.
 
-        With ``chunk_size`` set, parameter samples (and wire fields) are
-        *generated* per chunk too, so peak memory is bounded by
-        ``chunk_size × N_g`` end to end — the paper-scale ``N = 100K``
-        runs never materialize the full sample matrices.  The chunks are
-        merged as running moments (:class:`StreamingSTAResult`); the
-        resulting statistics are those of a single ``N``-sample run over
-        the concatenated stream.  ``quantiles`` selects worst-delay
-        quantile levels to track: streamed runs estimate them with P²
-        (no retention), unchunked runs report them exactly — both through
+        Samples are generated in compact form (``expand=False``): the
+        KLE flow keeps Algorithm 2's triangle values and the engine
+        gathers each gate's column itself, so that gather is counted in
+        ``timer_seconds`` for both flows.  With ``chunk_size`` set,
+        parameter samples (and wire fields) are *generated* per chunk
+        too, so peak memory is bounded by ``chunk_size × N_g`` end to
+        end — the paper-scale ``N = 100K`` runs never materialize the
+        full sample matrices.  The chunks are merged as running moments
+        (:class:`StreamingSTAResult`); the resulting statistics are those
+        of a single ``N``-sample run over the concatenated stream.
+        ``quantiles`` selects worst-delay quantile levels to track:
+        streamed runs estimate them with P² (no retention), unchunked
+        runs report them exactly — both through
         ``quantile_worst_delay``.
         """
         if chunk_size is None or num_samples <= chunk_size:
             generated = generator.generate(
-                self.gate_locations, num_samples, seed=seed
+                self.gate_locations, num_samples, seed=seed, expand=False
             )
             sample_seconds = generated.total_seconds
             wire_scales = None
@@ -387,7 +405,11 @@ class MonteCarloSSTA:
                 )
                 sample_seconds += wire_seconds
             start = time.perf_counter()
-            sta = self.engine.run(generated.samples, wire_scales=wire_scales)
+            sta = self.engine.run(
+                generated.samples,
+                columns=generated.columns,
+                wire_scales=wire_scales,
+            )
             timer_seconds = time.perf_counter() - start
             return SSTARun(sta, sample_seconds, timer_seconds)
 
@@ -409,7 +431,7 @@ class MonteCarloSSTA:
         while done < num_samples:
             rows = min(chunk_size, num_samples - done)
             generated = generator.generate(
-                self.gate_locations, rows, seed=rng
+                self.gate_locations, rows, seed=rng, expand=False
             )
             sample_seconds += generated.total_seconds
             wire_scales = None
@@ -420,7 +442,9 @@ class MonteCarloSSTA:
                 sample_seconds += wire_seconds
             start = time.perf_counter()
             chunk = self.engine.run(
-                generated.samples, wire_scales=wire_scales
+                generated.samples,
+                columns=generated.columns,
+                wire_scales=wire_scales,
             )
             timer_seconds += time.perf_counter() - start
             moments.update(chunk)

@@ -241,6 +241,7 @@ class STAEngine:
         self,
         parameter_samples: Optional[Mapping[str, np.ndarray]] = None,
         *,
+        columns: Optional[Mapping[str, Optional[np.ndarray]]] = None,
         wire_scales: Optional[Mapping[str, np.ndarray]] = None,
         input_slew_ps: Optional[float] = None,
         keep_all_arrivals: bool = False,
@@ -256,8 +257,21 @@ class STAEngine:
             Mapping from parameter name (a subset of ``("L","W","Vt","tox")``)
             to an ``(N, N_g)`` array of normalized values, columns in
             ``netlist.gates`` order — exactly the matrices produced by
-            :mod:`repro.field.sampling`.  ``None`` runs a nominal
-            (deterministic, N = 1) analysis.
+            :mod:`repro.field.sampling`.  With a ``columns`` map a
+            parameter's array is ``(N, K)`` instead, gathered per gate
+            through the map.  ``None`` runs a nominal (deterministic,
+            N = 1) analysis.
+        columns:
+            Optional mapping from parameter name to a 1-D int64
+            gate→column map of length ``N_g`` into that parameter's
+            ``(N, K)`` values (``0 <= c < K``) — what
+            ``generate(expand=False)`` returns as
+            :attr:`~repro.field.sampling.SampleGenerationResult.columns`
+            (Algorithm 2's triangle values and each gate's triangle).  A
+            missing name or a ``None`` map means per-gate ``(N, N_g)``
+            samples.  Results are bitwise those of the gathered
+            ``(N, N_g)`` matrices; maps that are short, not int64 or out
+            of range raise ``ValueError`` before any kernel runs.
         wire_scales:
             Optional interconnect-variation extension: mapping with keys
             ``"R"`` and/or ``"C"`` to ``(N, num_nets)`` *multiplicative
@@ -302,8 +316,8 @@ class STAEngine:
                 raise ValueError(
                     f"chunk_size must be >= 1, got {chunk_size}"
                 )
-            names, matrices, total = self._validated_samples(
-                parameter_samples
+            names, matrices, maps, total = self._validated_samples(
+                parameter_samples, columns
             )
             validated_scales, total = self._validate_wire_scales(
                 wire_scales, total
@@ -312,6 +326,7 @@ class STAEngine:
                 return self._run_chunked(
                     names,
                     matrices,
+                    maps,
                     validated_scales,
                     total,
                     chunk_size,
@@ -323,6 +338,7 @@ class STAEngine:
         if engine == "compiled":
             return self._run_compiled(
                 parameter_samples,
+                columns,
                 wire_scales,
                 input_slew_ps=input_slew_ps,
                 keep_all_arrivals=keep_all_arrivals,
@@ -330,6 +346,7 @@ class STAEngine:
             )
         return self._run_reference(
             parameter_samples,
+            columns,
             wire_scales,
             input_slew_ps=input_slew_ps,
             keep_all_arrivals=keep_all_arrivals,
@@ -339,6 +356,7 @@ class STAEngine:
         self,
         names: List[str],
         matrices: List[np.ndarray],
+        maps: List[Optional[np.ndarray]],
         wire_scales: Optional[Dict[str, np.ndarray]],
         num_samples: int,
         chunk_size: int,
@@ -368,6 +386,7 @@ class STAEngine:
             )
             part = self.run(
                 chunk_samples,
+                columns=dict(zip(names, maps)) if names else None,
                 wire_scales=chunk_scales,
                 input_slew_ps=input_slew_ps,
                 keep_all_arrivals=keep_all_arrivals,
@@ -388,6 +407,7 @@ class STAEngine:
     def _run_compiled(
         self,
         parameter_samples: Optional[Mapping[str, np.ndarray]],
+        columns: Optional[Mapping[str, Optional[np.ndarray]]],
         wire_scales: Optional[Mapping[str, np.ndarray]],
         *,
         input_slew_ps: Optional[float],
@@ -395,8 +415,8 @@ class STAEngine:
         native_threads: Optional[int],
     ) -> STAResult:
         """One pass of the level-compiled array program."""
-        names, matrices, num_samples = self._validated_samples(
-            parameter_samples
+        names, matrices, maps, num_samples = self._validated_samples(
+            parameter_samples, columns
         )
         wire_scales, num_samples = self._validate_wire_scales(
             wire_scales, num_samples
@@ -404,8 +424,8 @@ class STAEngine:
         if input_slew_ps is None:
             input_slew_ps = self.library.technology.default_input_slew_ps
         products = [
-            (matrix, self._packed_models.parameter_weights(name))
-            for name, matrix in zip(names, matrices)
+            (matrix, gate_map, self._packed_models.parameter_weights(name))
+            for name, matrix, gate_map in zip(names, matrices, maps)
         ]
         output = self.program.execute(
             num_samples,
@@ -425,13 +445,16 @@ class STAEngine:
     def _run_reference(
         self,
         parameter_samples: Optional[Mapping[str, np.ndarray]],
+        columns: Optional[Mapping[str, Optional[np.ndarray]]],
         wire_scales: Optional[Mapping[str, np.ndarray]],
         *,
         input_slew_ps: Optional[float],
         keep_all_arrivals: bool,
     ) -> STAResult:
         """The original per-gate Python traversal (differential baseline)."""
-        num_samples, u_by_gate = self._statistical_projection(parameter_samples)
+        num_samples, u_by_gate = self._statistical_projection(
+            parameter_samples, columns
+        )
         wire_scales, num_samples = self._validate_wire_scales(
             wire_scales, num_samples
         )
@@ -537,13 +560,24 @@ class STAEngine:
     def _validated_samples(
         self,
         parameter_samples: Optional[Mapping[str, np.ndarray]],
-    ) -> Tuple[List[str], List[np.ndarray], int]:
-        """Validate parameter samples; return ``(names, matrices, N)``."""
+        columns: Optional[Mapping[str, Optional[np.ndarray]]] = None,
+    ) -> Tuple[List[str], List[np.ndarray], List[Optional[np.ndarray]], int]:
+        """Validate samples and column maps; return ``(names, matrices,
+        maps, N)`` with ``maps[j] is None`` for per-gate samples."""
         num_gates = self.netlist.num_gates
+        columns = dict(columns or {})
         if not parameter_samples:
-            return [], [], 1
+            if columns:
+                raise ValueError("columns given without parameter samples")
+            return [], [], [], 1
+        unknown = set(columns) - set(parameter_samples)
+        if unknown:
+            raise ValueError(
+                f"columns for parameters without samples: {sorted(unknown)}"
+            )
         names: List[str] = []
         matrices: List[np.ndarray] = []
+        maps: List[Optional[np.ndarray]] = []
         for name, matrix in parameter_samples.items():
             if name not in STATISTICAL_PARAMETERS:
                 raise ValueError(
@@ -551,17 +585,29 @@ class STAEngine:
                     f"subset of {STATISTICAL_PARAMETERS}"
                 )
             matrix = np.asarray(matrix, dtype=float)
-            if matrix.ndim != 2 or matrix.shape[1] != num_gates:
-                raise ValueError(
-                    f"samples for {name!r} must be (N, {num_gates}), "
-                    f"got {matrix.shape}"
+            gate_map = columns.get(name)
+            if gate_map is None:
+                if matrix.ndim != 2 or matrix.shape[1] != num_gates:
+                    raise ValueError(
+                        f"samples for {name!r} must be (N, {num_gates}), "
+                        f"got {matrix.shape}"
+                    )
+            else:
+                if matrix.ndim != 2 or matrix.shape[1] < 1:
+                    raise ValueError(
+                        f"values for {name!r} must be (N, K) with K >= 1, "
+                        f"got {matrix.shape}"
+                    )
+                gate_map = _validated_column_map(
+                    name, gate_map, num_gates, matrix.shape[1]
                 )
             names.append(name)
             matrices.append(matrix)
+            maps.append(gate_map)
         lengths = {m.shape[0] for m in matrices}
         if len(lengths) != 1:
             raise ValueError("all parameter sample matrices must share N")
-        return names, matrices, lengths.pop()
+        return names, matrices, maps, lengths.pop()
 
     def _u_matrix(
         self, names: List[str], matrices: List[np.ndarray]
@@ -577,14 +623,21 @@ class STAEngine:
     def _statistical_projection(
         self,
         parameter_samples: Optional[Mapping[str, np.ndarray]],
+        columns: Optional[Mapping[str, Optional[np.ndarray]]] = None,
     ) -> Tuple[int, Callable[[int], np.ndarray]]:
         """Return ``(N, u_by_gate)`` where ``u_by_gate(g)`` is the rank-one
         projection ``u = wᵀ p`` for gate ``g`` over all samples."""
-        names, matrices, num_samples = self._validated_samples(
-            parameter_samples
+        names, matrices, maps, num_samples = self._validated_samples(
+            parameter_samples, columns
         )
         if not names:
             return 1, lambda gate_index: np.zeros(1)
+        # The oracle works on per-gate samples: gather mapped values
+        # through the same maps the compiled engine uses.
+        matrices = [
+            matrix if gate_map is None else np.take(matrix, gate_map, axis=1)
+            for matrix, gate_map in zip(matrices, maps)
+        ]
         num_gates = self.netlist.num_gates
 
         # Fast path: precompute U = Σ_j w_j(gate) · p_j as one (N, Ng)
@@ -666,3 +719,31 @@ class STAEngine:
         return max(
             result.end_arrivals, key=lambda net: float(result.end_arrivals[net][0])
         )
+
+
+def _validated_column_map(
+    name: str, gate_map: np.ndarray, num_gates: int, num_columns: int
+) -> np.ndarray:
+    """Check one gate→column map before it can index native memory.
+
+    The map must be a 1-D int64 array with one entry per gate, each in
+    ``[0, num_columns)``; anything else raises ``ValueError`` here so a
+    bad map never reaches ``sta_kernel.c``.
+    """
+    gate_map = np.asarray(gate_map)
+    if gate_map.dtype != np.int64:
+        raise ValueError(
+            f"columns[{name!r}] must be int64, got {gate_map.dtype}"
+        )
+    if gate_map.shape != (num_gates,):
+        raise ValueError(
+            f"columns[{name!r}] must have shape ({num_gates},), "
+            f"got {gate_map.shape}"
+        )
+    if num_gates and (
+        int(gate_map.min()) < 0 or int(gate_map.max()) >= num_columns
+    ):
+        raise ValueError(
+            f"columns[{name!r}] entries must lie in [0, {num_columns})"
+        )
+    return gate_map

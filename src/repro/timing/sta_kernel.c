@@ -13,7 +13,13 @@
  *   winner   = first pin with strictly greater cand    (reference tie rule)
  *
  * with scale = max(1 + k1*u + k2*u^2, 0.05) from the rank-one projection
- * u (computed per block by the caller, row-major (B, Ng)).
+ * u = sum_j w_j * p_j, computed here per gate and lane.  The caller packs
+ * each block's parameter values as K value columns (all parameters side
+ * by side) of B contiguous lanes, (K, B) like the arenas, and passes one
+ * projection row per DFF and per gate: P value columns u_col and P
+ * weights u_w, applied in that fixed parameter order.  Per-gate samples
+ * are the identity-column case; Algorithm 2 samples stay on the mesh
+ * triangles and u_col holds each gate's containing-triangle column.
  *
  * The arenas are (width, B) slot-major so every per-slot vector of B
  * samples is contiguous; all inner loops run over the B sample lanes and
@@ -25,11 +31,12 @@
  * yields bitwise identical results.
  *
  * Threading: sta_eval_gates_mt partitions the B sample lanes into
- * contiguous ranges, one per worker.  Every lane's arithmetic is the
- * sequence of operations eval_lane_range runs for that lane alone —
- * identical whether the surrounding loop covers [0, B) or [lo, hi) —
- * so the multithreaded entry point is bitwise identical to the serial
- * one for every thread count and every lane partition.  Workers touch
+ * contiguous ranges, one per worker, cut at arena cache-line
+ * boundaries.  Every lane's arithmetic is the sequence of operations
+ * eval_lane_range runs for that lane alone — identical whether the
+ * surrounding loop covers [0, B) or [lo, hi) — so the multithreaded
+ * entry point is bitwise identical to the serial one for every thread
+ * count and every lane partition.  Workers touch
  * disjoint lane ranges of the shared arenas and private scratch
  * blocks, so no synchronization is needed beyond the join.  The
  * parallel backend is chosen at compile time: OpenMP when the build
@@ -47,21 +54,43 @@
 #include <pthread.h>
 #endif
 
+/* The projection u of one DFF or gate for lanes [lane_lo, lane_hi):
+ * u[n] = sum_j w[j] * values[cols[j]*B + n], accumulated in parameter
+ * order j = 0, 1, ..., P-1 whatever the lane range. */
+static void project_row(
+    const double *values, int64_t B,
+    const int64_t *cols, const double *w, int64_t num_params,
+    int64_t lane_lo, int64_t lane_hi, double *u)
+{
+    for (int64_t j = 0; j < num_params; ++j) {
+        const double *vj = values + cols[j] * B;
+        const double wj = w[j];
+        if (j == 0) {
+            for (int64_t n = lane_lo; n < lane_hi; ++n)
+                u[n] = wj * vj[n];
+        } else {
+            for (int64_t n = lane_lo; n < lane_hi; ++n)
+                u[n] += wj * vj[n];
+        }
+    }
+}
+
 /* One worker's share of a sample block: evaluate lanes [lane_lo,
  * lane_hi) of every primary input, DFF and gate.  The four scratch
  * vectors are full-B-length arrays indexed by absolute lane, so a
  * worker only touches its own [lane_lo, lane_hi) slice of them. */
 static void eval_lane_range(
-    int64_t num_model_gates,
-    const double *u,
+    int64_t num_params,
+    const double *values,
+    const int64_t *u_col, const double *u_w,
     double input_slew,
     const int64_t *pi_slots, int64_t num_pi,
-    const int64_t *dff_slots, const int64_t *dff_gids,
+    const int64_t *dff_slots,
     const double *dff_dnom, const double *dff_snom,
     const double *dff_k1, const double *dff_k2,
     const double *dff_m1, const double *dff_m2, int64_t num_dff,
     int64_t num_gates,
-    const int64_t *g_fanin, const int64_t *g_out_slot, const int64_t *g_id,
+    const int64_t *g_fanin, const int64_t *g_out_slot,
     const double *g_bd, const double *g_dsl,
     const double *g_bs, const double *g_ssl,
     const double *g_k1, const double *g_k2,
@@ -85,12 +114,14 @@ static void eval_lane_range(
         double *pa = arena_a + dff_slots[i] * B;
         double *ps = arena_s + dff_slots[i] * B;
         const double dn = dff_dnom[i], sn = dff_snom[i];
-        if (u) {
-            const double *ucol = u + dff_gids[i];
+        if (values) {
             const double k1 = dff_k1[i], k2 = dff_k2[i];
             const double m1 = dff_m1[i], m2 = dff_m2[i];
+            project_row(values, B,
+                        u_col + i * num_params, u_w + i * num_params,
+                        num_params, lane_lo, lane_hi, scd);
             for (int64_t n = lane_lo; n < lane_hi; ++n) {
-                const double uv = ucol[n * num_model_gates];
+                const double uv = scd[n];
                 double sd = 1.0 + k1 * uv + k2 * uv * uv;
                 double ss = 1.0 + m1 * uv + m2 * uv * uv;
                 if (sd < 0.05) sd = 0.05;
@@ -112,12 +143,15 @@ static void eval_lane_range(
         const double bd = g_bd[g], dsl = g_dsl[g];
         const double bs = g_bs[g], ssl = g_ssl[g];
 
-        if (u) {
-            const double *ucol = u + g_id[g];
+        if (values) {
             const double k1 = g_k1[g], k2 = g_k2[g];
             const double m1 = g_m1[g], m2 = g_m2[g];
+            project_row(values, B,
+                        u_col + (num_dff + g) * num_params,
+                        u_w + (num_dff + g) * num_params,
+                        num_params, lane_lo, lane_hi, scd);
             for (int64_t n = lane_lo; n < lane_hi; ++n) {
-                const double uv = ucol[n * num_model_gates];
+                const double uv = scd[n];
                 double sd = 1.0 + k1 * uv + k2 * uv * uv;
                 double ss = 1.0 + m1 * uv + m2 * uv * uv;
                 if (sd < 0.05) sd = 0.05;
@@ -170,16 +204,19 @@ static void eval_lane_range(
 
 void sta_eval_gates(
     int64_t num_rows,            /* B: samples in this block */
-    int64_t num_model_gates,     /* Ng: row stride of u */
-    const double *u,             /* (B, Ng) projection, or NULL (nominal) */
+    int64_t num_params,          /* P: parameters per projection row */
+    int64_t num_value_cols,      /* K: value columns (extent of values) */
+    const double *values,        /* (K, B) value columns, or NULL (nominal) */
+    const int64_t *u_col,        /* >= (num_dff+num_gates)*P entries */
+    const double *u_w,           /* >= (num_dff+num_gates)*P entries */
     double input_slew,
     const int64_t *pi_slots, int64_t num_pi,
-    const int64_t *dff_slots, const int64_t *dff_gids,
+    const int64_t *dff_slots,
     const double *dff_dnom, const double *dff_snom,
     const double *dff_k1, const double *dff_k2,
     const double *dff_m1, const double *dff_m2, int64_t num_dff,
     int64_t num_gates,           /* combinational gates, topological order */
-    const int64_t *g_fanin, const int64_t *g_out_slot, const int64_t *g_id,
+    const int64_t *g_fanin, const int64_t *g_out_slot,
     const double *g_bd, const double *g_dsl,
     const double *g_bs, const double *g_ssl,
     const double *g_k1, const double *g_k2,
@@ -190,11 +227,11 @@ void sta_eval_gates(
 {
     const int64_t B = num_rows;
     eval_lane_range(
-        num_model_gates, u, input_slew,
+        num_params, values, u_col, u_w, input_slew,
         pi_slots, num_pi,
-        dff_slots, dff_gids, dff_dnom, dff_snom,
+        dff_slots, dff_dnom, dff_snom,
         dff_k1, dff_k2, dff_m1, dff_m2, num_dff,
-        num_gates, g_fanin, g_out_slot, g_id,
+        num_gates, g_fanin, g_out_slot,
         g_bd, g_dsl, g_bs, g_ssl,
         g_k1, g_k2, g_m1, g_m2,
         p_slot, p_wd, p_step2,
@@ -205,16 +242,17 @@ void sta_eval_gates(
 /* Shared per-call arguments for one multithreaded evaluation; worker t
  * evaluates lanes [t*B/T, (t+1)*B/T) with scratch block t. */
 typedef struct {
-    int64_t num_model_gates;
-    const double *u;
+    int64_t num_params;
+    const double *values;
+    const int64_t *u_col; const double *u_w;
     double input_slew;
     const int64_t *pi_slots; int64_t num_pi;
-    const int64_t *dff_slots; const int64_t *dff_gids;
+    const int64_t *dff_slots;
     const double *dff_dnom; const double *dff_snom;
     const double *dff_k1; const double *dff_k2;
     const double *dff_m1; const double *dff_m2; int64_t num_dff;
     int64_t num_gates;
-    const int64_t *g_fanin; const int64_t *g_out_slot; const int64_t *g_id;
+    const int64_t *g_fanin; const int64_t *g_out_slot;
     const double *g_bd; const double *g_dsl;
     const double *g_bs; const double *g_ssl;
     const double *g_k1; const double *g_k2;
@@ -226,20 +264,41 @@ typedef struct {
     int64_t num_threads;
 } mt_call;
 
+/* First lane of worker t: B*t/T moved down to the nearest lane that
+ * starts a 64-byte line of arena_a, so two workers never write the same
+ * cache line of an arena row (false sharing on every gate's output
+ * otherwise costs more than the second worker gains).  With B a
+ * multiple of 8 lanes every row shares the base's line phase; arena_s,
+ * allocated the same way, normally shares it too, and where it does not
+ * only speed is lost.  Results are bitwise the same under any
+ * partition. */
+static int64_t lane_boundary(const mt_call *c, int64_t t)
+{
+    if (t <= 0)
+        return 0;
+    if (t >= c->num_threads)
+        return c->B;
+    const int64_t phase =
+        (int64_t)(((uintptr_t)c->arena_a / sizeof(double)) % 8);
+    const int64_t lane = ((c->B * t) / c->num_threads + phase) / 8 * 8;
+    return lane > phase ? lane - phase : 0;
+}
+
 static void eval_worker(const mt_call *c, int64_t t)
 {
-    const int64_t B = c->B, T = c->num_threads;
-    const int64_t lo = (B * t) / T;
-    const int64_t hi = (B * (t + 1)) / T;
+    const int64_t B = c->B;
+    const int64_t lo = lane_boundary(c, t);
+    const int64_t hi = lane_boundary(c, t + 1);
     double *block = c->scratch + 4 * B * t;
     if (lo >= hi)
         return;
     eval_lane_range(
-        c->num_model_gates, c->u, c->input_slew,
+        c->num_params, c->values, c->u_col, c->u_w,
+        c->input_slew,
         c->pi_slots, c->num_pi,
-        c->dff_slots, c->dff_gids, c->dff_dnom, c->dff_snom,
+        c->dff_slots, c->dff_dnom, c->dff_snom,
         c->dff_k1, c->dff_k2, c->dff_m1, c->dff_m2, c->num_dff,
-        c->num_gates, c->g_fanin, c->g_out_slot, c->g_id,
+        c->num_gates, c->g_fanin, c->g_out_slot,
         c->g_bd, c->g_dsl, c->g_bs, c->g_ssl,
         c->g_k1, c->g_k2, c->g_m1, c->g_m2,
         c->p_slot, c->p_wd, c->p_step2,
@@ -263,16 +322,19 @@ static void *pthread_trampoline(void *raw)
 
 void sta_eval_gates_mt(
     int64_t num_rows,            /* B: samples in this block */
-    int64_t num_model_gates,     /* Ng: row stride of u */
-    const double *u,             /* (B, Ng) projection, or NULL (nominal) */
+    int64_t num_params,          /* P: parameters per projection row */
+    int64_t num_value_cols,      /* K: value columns (extent of values) */
+    const double *values,        /* (K, B) value columns, or NULL (nominal) */
+    const int64_t *u_col,        /* >= (num_dff+num_gates)*P entries */
+    const double *u_w,           /* >= (num_dff+num_gates)*P entries */
     double input_slew,
     const int64_t *pi_slots, int64_t num_pi,
-    const int64_t *dff_slots, const int64_t *dff_gids,
+    const int64_t *dff_slots,
     const double *dff_dnom, const double *dff_snom,
     const double *dff_k1, const double *dff_k2,
     const double *dff_m1, const double *dff_m2, int64_t num_dff,
     int64_t num_gates,           /* combinational gates, topological order */
-    const int64_t *g_fanin, const int64_t *g_out_slot, const int64_t *g_id,
+    const int64_t *g_fanin, const int64_t *g_out_slot,
     const double *g_bd, const double *g_dsl,
     const double *g_bs, const double *g_ssl,
     const double *g_k1, const double *g_k2,
@@ -292,16 +354,17 @@ void sta_eval_gates_mt(
         T = B;
 
     mt_call call;
-    call.num_model_gates = num_model_gates;
-    call.u = u;
+    call.num_params = num_params;
+    call.values = values;
+    call.u_col = u_col; call.u_w = u_w;
     call.input_slew = input_slew;
     call.pi_slots = pi_slots; call.num_pi = num_pi;
-    call.dff_slots = dff_slots; call.dff_gids = dff_gids;
+    call.dff_slots = dff_slots;
     call.dff_dnom = dff_dnom; call.dff_snom = dff_snom;
     call.dff_k1 = dff_k1; call.dff_k2 = dff_k2;
     call.dff_m1 = dff_m1; call.dff_m2 = dff_m2; call.num_dff = num_dff;
     call.num_gates = num_gates;
-    call.g_fanin = g_fanin; call.g_out_slot = g_out_slot; call.g_id = g_id;
+    call.g_fanin = g_fanin; call.g_out_slot = g_out_slot;
     call.g_bd = g_bd; call.g_dsl = g_dsl;
     call.g_bs = g_bs; call.g_ssl = g_ssl;
     call.g_k1 = g_k1; call.g_k2 = g_k2;

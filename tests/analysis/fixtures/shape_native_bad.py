@@ -19,7 +19,8 @@ P_I64 = ctypes.POINTER(ctypes.c_int64)
 
 def evaluate(
     num_rows: int,
-    num_model_gates: int,
+    num_params: int,
+    num_value_cols: int,
     num_pi: int,
     num_dff: int,
     num_gates: int,
@@ -30,7 +31,6 @@ def evaluate(
 
     pi_slots = np.zeros(num_pi, dtype=np.int64)
     dff_slots = np.zeros(num_dff, dtype=np.int64)
-    dff_gids = np.zeros(num_dff, dtype=np.int64)
     dff_dnom = np.zeros(num_dff)
     dff_snom = np.zeros(num_dff)
     dff_k1 = np.zeros(num_dff)
@@ -39,7 +39,6 @@ def evaluate(
     dff_m2 = np.zeros(num_dff)
     g_fanin = np.zeros(num_gates, dtype=np.int64)
     g_out_slot = np.zeros(num_gates, dtype=np.int64)
-    g_id = np.zeros(num_gates, dtype=np.int64)
     g_bd = np.zeros(num_gates - 1)  # one short of the loop bound
     g_dsl = np.zeros(num_gates)
     g_bs = np.zeros(num_gates)
@@ -57,13 +56,15 @@ def evaluate(
 
     kernel(
         num_rows,
-        num_model_gates,
+        num_params,
+        num_value_cols,
+        None,
+        None,
         None,
         0.0,
         pi_slots.ctypes.data_as(P_I64),
         num_pi,
         dff_slots.ctypes.data_as(P_I64),
-        dff_gids.ctypes.data_as(P_I64),
         dff_dnom.ctypes.data_as(P_F64),
         dff_snom.ctypes.data_as(P_F64),
         dff_k1.ctypes.data_as(P_F64),
@@ -74,7 +75,6 @@ def evaluate(
         num_gates,
         g_fanin.ctypes.data_as(P_I64),
         g_out_slot.ctypes.data_as(P_I64),
-        g_id.ctypes.data_as(P_I64),
         g_bd.ctypes.data_as(P_F64),
         g_dsl.ctypes.data_as(P_F64),
         g_bs.ctypes.data_as(P_F64),

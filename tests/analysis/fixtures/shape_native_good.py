@@ -3,8 +3,9 @@
 Mirrors the live ``CompiledTimingProgram`` call shape: each pointer
 argument of ``sta_eval_gates`` is allocated with exactly the extent
 ``cabi.kernel_buffer_obligations`` derives from ``sta_kernel.c``
-(loop bounds for the per-gate tables, ``@repro-extent`` annotations for
-``u`` and the arenas, ``4*num_rows`` for scratch).  The three pin-table
+(loop bounds for the per-gate and projection tables, parameter
+annotations for the ``(K, B)`` values and the arenas, ``4*num_rows``
+for scratch).  The three pin-table
 arguments have no affine extent (the kernel walks them with a running
 counter), so they carry the same hand-proof suppression the live tree
 uses.  REPRO-SHAPE002 must report nothing here.
@@ -22,7 +23,8 @@ P_I64 = ctypes.POINTER(ctypes.c_int64)
 
 def evaluate(
     num_rows: int,
-    num_model_gates: int,
+    num_params: int,
+    num_value_cols: int,
     num_pi: int,
     num_dff: int,
     num_gates: int,
@@ -31,10 +33,11 @@ def evaluate(
 ) -> None:
     kernel = load_kernel()
 
-    u = np.zeros(num_rows * num_model_gates)
+    values = np.zeros(num_value_cols * num_rows)
+    u_col = np.zeros((num_dff + num_gates) * num_params, dtype=np.int64)
+    u_w = np.zeros((num_dff + num_gates) * num_params)
     pi_slots = np.zeros(num_pi, dtype=np.int64)
     dff_slots = np.zeros(num_dff, dtype=np.int64)
-    dff_gids = np.zeros(num_dff, dtype=np.int64)
     dff_dnom = np.zeros(num_dff)
     dff_snom = np.zeros(num_dff)
     dff_k1 = np.zeros(num_dff)
@@ -43,7 +46,6 @@ def evaluate(
     dff_m2 = np.zeros(num_dff)
     g_fanin = np.zeros(num_gates, dtype=np.int64)
     g_out_slot = np.zeros(num_gates, dtype=np.int64)
-    g_id = np.zeros(num_gates, dtype=np.int64)
     g_bd = np.zeros(num_gates)
     g_dsl = np.zeros(num_gates)
     g_bs = np.zeros(num_gates)
@@ -61,13 +63,15 @@ def evaluate(
 
     kernel(
         num_rows,
-        num_model_gates,
-        u.ctypes.data_as(P_F64),
+        num_params,
+        num_value_cols,
+        values.ctypes.data_as(P_F64),
+        u_col.ctypes.data_as(P_I64),
+        u_w.ctypes.data_as(P_F64),
         0.0,
         pi_slots.ctypes.data_as(P_I64),
         num_pi,
         dff_slots.ctypes.data_as(P_I64),
-        dff_gids.ctypes.data_as(P_I64),
         dff_dnom.ctypes.data_as(P_F64),
         dff_snom.ctypes.data_as(P_F64),
         dff_k1.ctypes.data_as(P_F64),
@@ -78,7 +82,6 @@ def evaluate(
         num_gates,
         g_fanin.ctypes.data_as(P_I64),
         g_out_slot.ctypes.data_as(P_I64),
-        g_id.ctypes.data_as(P_I64),
         g_bd.ctypes.data_as(P_F64),
         g_dsl.ctypes.data_as(P_F64),
         g_bs.ctypes.data_as(P_F64),

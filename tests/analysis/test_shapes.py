@@ -4,8 +4,9 @@ Fixture-driven coverage of the broadcast checker and the kernel-boundary
 size prover, the live-tree obligation inventory (every unprovable pin
 argument reported distinctly, and suppressed with a hand proof), and the
 meta-mutation tests: re-introducing the historical scratch/arena sizing
-bugs into a copy of ``repro/timing`` must produce SHAPE002 findings at
-the offending allocation.
+bugs into a copy of ``repro/timing`` (and shrinking the projection
+column table) must produce SHAPE002 findings at the offending
+allocation.
 """
 
 import shutil
@@ -75,8 +76,8 @@ def test_native_bad_fixture_reports_each_failure_mode_distinctly():
         assert violation.path.endswith("shape_native_bad.py")
         assert violation.chain, "expected a chain to the call site"
     lines = {v.message.split("'")[1]: v.line for v in too_small}
-    assert lines["g_bd"] == 43
-    assert lines["scratch"] == 56
+    assert lines["g_bd"] == 42
+    assert lines["scratch"] == 55
 
 
 # -- live tree --------------------------------------------------------
@@ -166,3 +167,25 @@ def test_dropping_an_assert_pin_fails_the_gate_table_proof(tmp_path):
         if "cannot prove" in v.message and "'g_bd'" in v.message
     ]
     assert len(hits) == 2, "unpinned g_bd must fail for both variants"
+
+
+def test_shrinking_the_column_table_by_one_slot_fails_shape002(tmp_path):
+    found, line = mutated_findings(
+        tmp_path,
+        "u_col = np.empty(table_size, dtype=np.int64)",
+        "u_col = np.empty(table_size - 1, dtype=np.int64)",
+    )
+    hits = [
+        v
+        for v in found
+        if "cannot prove" in v.message and "'u_col'" in v.message
+    ]
+    # Both kernel variants read the table, so both proofs must fail, at
+    # the allocation.
+    assert len(hits) == 2
+    assert all(v.line == line for v in hits)
+    assert not [
+        v
+        for v in found
+        if "cannot prove" in v.message and "'u_w'" in v.message
+    ], "the untouched weight table must still be proven"

@@ -222,17 +222,24 @@ class TestResidency:
             stats = service.stats()
             assert stats["kernel_threads"] == 2
             # resident_bytes must account the per-thread native scratch a
-            # sweep allocates at the pinned lane count, on top of the
-            # program's arenas and the resident KLE eigenpair arrays.
+            # sweep allocates at the pinned lane count — including the
+            # packed value block sized for the widest flow's per-sample
+            # values — on top of the program's arenas and the resident
+            # KLE eigenpair arrays.
             program = harness.engine.program
             kle = next(iter(harness.kles.values()))
+            value_columns = max(
+                len(harness.kernels) * harness.netlist.num_gates,
+                len(harness.kles) * kle.d_vectors.shape[0],
+            )
+            assert harness.value_columns() == value_columns
             assert stats["resident_bytes"] == (
                 program.resident_bytes()
-                + program.native_scratch_bytes(2)
+                + program.native_scratch_bytes(2, value_columns)
                 + kle.eigenvalues.nbytes
                 + kle.d_vectors.nbytes
             )
-            assert program.native_scratch_bytes(2) > 0
+            assert program.native_scratch_bytes(2, value_columns) > 0
 
     def test_randomized_kle_method_reaches_residency(self):
         import numpy as np

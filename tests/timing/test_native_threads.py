@@ -219,17 +219,28 @@ class TestBlockSizing:
     def test_block_size_is_pinned_for_known_inputs(self, engine):
         # Regression pin: the exact heuristic output for c880's packed
         # models.  A budget or per-sample accounting change must show up
-        # here as a deliberate diff, not drift silently.
+        # here as a deliberate diff, not drift silently.  The per-sample
+        # working set is the lane's packed values (K = P·N_g for
+        # per-gate samples, Σ n_t for triangle values), both arenas and
+        # the worker scratch; blocks are whole 8-lane cache lines.
         program = engine.program
         num_gates = program._packed_models.num_gates
         width = program.num_slots
-        for threads in (1, 2, 3):
-            per_sample = 8 * (2 * num_gates + 2 * width + 4 * threads + 4)
-            budget = (12 * 1024 * 1024) // threads
-            expected = max(32, min(10**9, budget // per_sample))
-            assert (
-                program._native_block_size(10**9, width, threads) == expected
-            )
+        for value_columns in (0, 1580, 4 * num_gates):
+            for threads in (1, 2, 3):
+                per_sample = 8 * (
+                    value_columns + 2 * width + 4 * threads + 4
+                )
+                budget = (12 * 1024 * 1024) // threads
+                lanes = budget // per_sample // 8 * 8
+                assert lanes % 8 == 0
+                expected = max(32, min(10**9, lanes))
+                assert (
+                    program._native_block_size(
+                        10**9, width, threads, value_columns
+                    )
+                    == expected
+                )
 
     def test_small_sample_counts_are_not_padded(self, engine):
         program = engine.program
@@ -243,16 +254,13 @@ class TestBlockSizing:
 
     def test_scratch_bytes_grow_with_per_thread_blocks(self, engine):
         program = engine.program
+        value_columns = 4 * program._packed_models.num_gates
         for threads in (1, 2, 4):
             expected_block = program._native_block_size(
-                12 * 1024 * 1024, program.num_slots, threads
+                12 * 1024 * 1024, program.num_slots, threads, value_columns
             )
-            per_block = (
-                2 * program.num_slots
-                + 4 * threads
-                + 2 * program._packed_models.num_gates
-            )
+            per_block = 2 * program.num_slots + 4 * threads + value_columns
             assert (
-                program.native_scratch_bytes(threads)
+                program.native_scratch_bytes(threads, value_columns)
                 == 8 * expected_block * per_block
             )
