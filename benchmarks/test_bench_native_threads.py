@@ -1,6 +1,6 @@
 """Thread-scaling bench for the multithreaded native STA kernel.
 
-Sweeps the sample-parallel ``sta_eval_gates_mt`` hot path over worker
+Sweeps the sample-parallel ``sta_run`` hot path over worker
 counts (1, 2, 4) on the largest default Table 1 circuit under the repo's
 noise discipline — warm-up run, repeated sweeps, median + IQR via
 :func:`repro.utils.bench.timed_median` — and writes the results to
@@ -47,7 +47,7 @@ def _largest_default_circuit() -> str:
 @pytest.fixture(scope="module")
 def thread_sweep(context):
     """Median-timed compiled sweeps at each worker count, plus results."""
-    if native.load_kernel_mt() is None:
+    if native.load_kernel() is None:
         pytest.skip("native kernel unavailable (REPRO_NO_NATIVE or no cc)")
     circuit = _largest_default_circuit()
     netlist = context.circuit(circuit)

@@ -1,6 +1,6 @@
 """Project-aware static analysis for the reproduction codebase.
 
-Three cooperating pieces:
+Two cooperating pieces:
 
 - :mod:`repro.analysis.engine` — a dependency-free AST rule engine
   (registry, per-file visitor dispatch, ``# repro-lint:`` suppressions);
@@ -9,12 +9,13 @@ Three cooperating pieces:
   hygiene, cache-key purity and the strict-typing gate, backed by the
   whole-program determinism provers (:mod:`repro.analysis.seedflow`
   seed-flow taint, :mod:`repro.analysis.cachekey` cache-key
-  completeness, :mod:`repro.analysis.locks` lock discipline, plus the
-  earlier dataflow/concurrency passes);
-- :mod:`repro.analysis.cabi` — the C-ABI cross-checker that parses the
-  exported prototypes in ``repro/timing/sta_kernel.c`` and verifies the
-  ctypes ``argtypes``/``restype`` declaration in
-  :mod:`repro.timing.native` against them.
+  completeness, :mod:`repro.analysis.locks` lock discipline,
+  :mod:`repro.analysis.concurrency` concurrency safety and
+  :mod:`repro.analysis.shapes` constant-shape checks).
+
+The native kernel boundary is not checked here: ``sta_run`` validates
+its program images and buffer lengths at runtime (see
+:mod:`repro.timing.native`).
 
 Run the whole gate with ``python -m repro.analysis`` (see
 :mod:`repro.analysis.cli`); CI's ``static-analysis`` job does exactly
@@ -23,21 +24,6 @@ that plus mypy.
 
 from __future__ import annotations
 
-from repro.analysis.cabi import (
-    ABIMismatch,
-    BufferObligation,
-    CParameter,
-    CPrototype,
-    KernelLoopBound,
-    UnsupportedDeclarationError,
-    check_c_abi,
-    check_function,
-    ctype_for,
-    describe_ctype,
-    kernel_buffer_obligations,
-    kernel_loop_bounds,
-    parse_c_prototypes,
-)
 from repro.analysis.engine import (
     LINT_RULE_ID,
     SYNTAX_ERROR_RULE_ID,
@@ -59,16 +45,9 @@ from repro.analysis.engine import (
     rule_catalog,
     stale_suppressions,
 )
-from repro.analysis.symbolic import (
-    Poly,
-    SymbolicError,
-    parse_expr,
-    poly_lower_bound,
-    prove_ge,
-)
 
 # Importing the rules module registers every per-file project rule;
-# importing dataflow/concurrency/seedflow/cachekey/locks registers the
+# importing concurrency/seedflow/cachekey/locks/shapes registers the
 # whole-program check ids.
 from repro.analysis import rules as rules  # noqa: F401
 from repro.analysis.cachekey import KEY_RULE_ID, check_cache_keys
@@ -87,20 +66,7 @@ from repro.analysis.seedflow import (
     SEED_SOURCE_RULE_ID,
     check_seed_flow,
 )
-from repro.analysis.dataflow import (
-    ArrayFact,
-    DTypeParam,
-    FunctionSummary,
-    NATIVE_RULE_ID,
-    NativeBoundaryChecker,
-    check_native_boundary,
-)
-from repro.analysis.shapes import (
-    BUFFER_RULE_ID,
-    SHAPE_RULE_ID,
-    ShapeChecker,
-    check_shapes,
-)
+from repro.analysis.shapes import SHAPE_RULE_ID, ShapeChecker, check_shapes
 from repro.analysis.gate import (
     GateReport,
     LINT_CACHE_NAME,
@@ -118,30 +84,18 @@ from repro.analysis.cli import main
 from repro.analysis.reporters import format_human, format_json, report_payload
 
 __all__ = [
-    "ABIMismatch",
-    "ArrayFact",
-    "BUFFER_RULE_ID",
-    "BufferObligation",
-    "CParameter",
-    "CPrototype",
     "ClassInfo",
-    "DTypeParam",
     "FileContext",
     "FileReport",
     "FunctionInfo",
-    "FunctionSummary",
     "GLOBAL_RULE_ID",
     "GUARD_RULE_ID",
     "GateReport",
     "KEY_RULE_ID",
-    "KernelLoopBound",
     "LINT_CACHE_NAME",
     "LINT_RULE_ID",
     "ModuleInfo",
-    "NATIVE_RULE_ID",
-    "NativeBoundaryChecker",
     "ORDER_RULE_ID",
-    "Poly",
     "ProjectModel",
     "RNG_RULE_ID",
     "Resolver",
@@ -151,8 +105,6 @@ __all__ = [
     "SHAPE_RULE_ID",
     "SYNTAX_ERROR_RULE_ID",
     "ShapeChecker",
-    "SymbolicError",
-    "UnsupportedDeclarationError",
     "Violation",
     "all_rules",
     "analyze_file",
@@ -162,28 +114,17 @@ __all__ = [
     "analyze_source_report",
     "catalog_fingerprint",
     "changed_file_subset",
-    "check_c_abi",
     "check_cache_keys",
     "check_concurrency",
-    "check_function",
     "check_lock_discipline",
-    "check_native_boundary",
     "check_seed_flow",
     "check_shapes",
-    "ctype_for",
-    "describe_ctype",
     "format_human",
     "format_json",
     "iter_python_files",
-    "kernel_buffer_obligations",
-    "kernel_loop_bounds",
     "known_rule_ids",
     "main",
-    "parse_c_prototypes",
-    "parse_expr",
-    "poly_lower_bound",
     "project_check_ids",
-    "prove_ge",
     "register_project_check",
     "register_rule",
     "report_payload",

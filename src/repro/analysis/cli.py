@@ -1,14 +1,12 @@
 """``python -m repro.analysis`` — the repo's static-analysis gate.
 
 Runs the per-file lint rules *and* the whole-program analyses (project
-model + array-contract dataflow + concurrency safety + seed-flow taint
-+ cache-key completeness + lock discipline + stale suppressions) over
-the given paths (default: ``src/repro``) and, unless
-``--no-cabi`` is passed, cross-checks the native kernel's C ABI against
-its ctypes declaration.  Exit status:
+model + concurrency safety + seed-flow taint + cache-key completeness +
+lock discipline + constant shapes + stale suppressions) over the given
+paths (default: ``src/repro``).  Exit status:
 
-- ``0`` — no violations and (when checked) no ABI mismatches;
-- ``1`` — at least one violation or ABI mismatch;
+- ``0`` — no violations;
+- ``1`` — at least one violation;
 - ``2`` — usage error (unknown rule id, missing path), or any analyzed
   file that does not parse (REPRO-SYNTAX) — an unparseable file means
   the rest of the report is incomplete, which is an infrastructure
@@ -24,7 +22,6 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
-from repro.analysis.cabi import ABIMismatch, check_c_abi
 from repro.analysis.engine import Violation, rule_catalog
 from repro.analysis.gate import analyze_project_paths, changed_file_subset
 from repro.analysis.reporters import format_human, format_json
@@ -38,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description=(
             "Project-aware static analysis: reproducibility lint rules "
-            "plus the sta_kernel.c / ctypes C-ABI cross-check."
+            "plus whole-program determinism and shape checks."
         ),
     )
     parser.add_argument(
@@ -76,22 +73,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to skip",
     )
     parser.add_argument(
-        "--no-cabi",
-        action="store_true",
-        help="skip the C-ABI cross-check",
-    )
-    parser.add_argument(
         "--no-project",
         action="store_true",
         help=(
-            "skip the whole-program analyses (dataflow, concurrency, "
-            "stale suppressions); per-file rules only"
+            "skip the whole-program analyses (concurrency, seed flow, "
+            "shapes, stale suppressions); per-file rules only"
         ),
-    )
-    parser.add_argument(
-        "--cabi-only",
-        action="store_true",
-        help="run only the C-ABI cross-check (no Python lint)",
     )
     parser.add_argument(
         "--jobs",
@@ -179,63 +166,50 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     files_checked = 0
     syntax_failure = False
     cache_note: Optional[str] = None
-    if not options.cabi_only:
-        try:
-            paths: List[str] = list(options.paths)
-            run_project = not options.no_project
-            if options.changed_since is not None:
-                paths = changed_file_subset(paths, options.changed_since)
-                run_project = False
-            if paths:
-                report = analyze_project_paths(
-                    paths,
-                    select=_split_ids(options.select),
-                    ignore=_split_ids(options.ignore),
-                    project=run_project,
-                    jobs=options.jobs,
-                    use_cache=not options.no_cache,
-                    cache_dir=options.cache_dir,
+    try:
+        paths: List[str] = list(options.paths)
+        run_project = not options.no_project
+        if options.changed_since is not None:
+            paths = changed_file_subset(paths, options.changed_since)
+            run_project = False
+        if paths:
+            report = analyze_project_paths(
+                paths,
+                select=_split_ids(options.select),
+                ignore=_split_ids(options.ignore),
+                project=run_project,
+                jobs=options.jobs,
+                use_cache=not options.no_cache,
+                cache_dir=options.cache_dir,
+            )
+            violations = list(report.violations)
+            files_checked = report.files_checked
+            syntax_failure = report.has_syntax_errors
+            if not options.no_cache:
+                reused = files_checked - len(report.reanalyzed_paths)
+                cache_note = (
+                    f"incremental cache: {reused}/{files_checked} "
+                    f"file(s) reused, whole-program findings "
+                    f"{'reused' if report.project_from_cache else 'recomputed'}"
+                    if run_project
+                    else f"incremental cache: {reused}/{files_checked} "
+                    f"file(s) reused"
                 )
-                violations = report.violations
-                files_checked = report.files_checked
-                syntax_failure = report.has_syntax_errors
-                if not options.no_cache:
-                    reused = files_checked - len(report.reanalyzed_paths)
-                    cache_note = (
-                        f"incremental cache: {reused}/{files_checked} "
-                        f"file(s) reused, whole-program findings "
-                        f"{'reused' if report.project_from_cache else 'recomputed'}"
-                        if run_project
-                        else f"incremental cache: {reused}/{files_checked} "
-                        f"file(s) reused"
-                    )
-        except FileNotFoundError as exc:
-            print(f"repro-lint: error: {exc}", file=sys.stderr)
-            return 2
-        except (RuntimeError, ValueError) as exc:
-            print(f"repro-lint: error: {exc}", file=sys.stderr)
-            return 2
-        violations = list(violations)
-
-    mismatches: Optional[List[ABIMismatch]] = None
-    if options.cabi_only or not options.no_cabi:
-        mismatches = check_c_abi()
+    except FileNotFoundError as exc:
+        print(f"repro-lint: error: {exc}", file=sys.stderr)
+        return 2
+    except (RuntimeError, ValueError) as exc:
+        print(f"repro-lint: error: {exc}", file=sys.stderr)
+        return 2
 
     if options.json:
-        print(
-            format_json(
-                violations, mismatches, files_checked=files_checked
-            )
-        )
+        print(format_json(violations, files_checked=files_checked))
     else:
         print(
             format_human(
-                violations,
-                mismatches,
-                files_checked=files_checked,
-                cache_note=cache_note,
+                violations, files_checked=files_checked, cache_note=cache_note
             )
         )
     if syntax_failure:
         return 2
-    return 1 if violations or mismatches else 0
+    return 1 if violations else 0

@@ -1,8 +1,8 @@
 """Gate orchestrator: per-file rules + whole-program checks, one verdict.
 
 The per-file engine (:mod:`repro.analysis.engine`) and the
-whole-program analyses (:mod:`repro.analysis.dataflow`,
-:mod:`repro.analysis.concurrency`, :mod:`repro.analysis.seedflow`,
+whole-program analyses (:mod:`repro.analysis.concurrency`,
+:mod:`repro.analysis.seedflow`,
 :mod:`repro.analysis.cachekey`, :mod:`repro.analysis.locks`,
 :mod:`repro.analysis.shapes`) each produce raw findings; this module
 runs them all over one set of paths, applies every file's suppression
@@ -28,8 +28,7 @@ tree re-analyzes nothing and is byte-identical to the cold run:
   the file's SHA-256 plus the module-name table, so the dependency
   graph itself is rebuilt without re-parsing unchanged files.
 - **whole-program findings** are keyed on the catalog fingerprint plus a
-  global tree fingerprint (every analyzed ``(path, sha)`` pair and the
-  native kernel's C source, which REPRO-SHAPE002 reads).
+  global tree fingerprint (every analyzed ``(path, sha)`` pair).
 
 Cached payloads always hold the findings of *all* rules and *all*
 passes; ``--select``/``--ignore`` filtering happens post-hoc, so one
@@ -55,7 +54,6 @@ import numpy as np
 
 from repro.analysis.cachekey import check_cache_keys
 from repro.analysis.concurrency import check_concurrency
-from repro.analysis.dataflow import check_native_boundary
 from repro.analysis.locks import check_lock_discipline
 from repro.analysis.seedflow import check_seed_flow
 from repro.analysis.shapes import check_shapes
@@ -426,25 +424,12 @@ def _compute_project_findings(model: ProjectModel) -> List[Violation]:
     caller — so the cached payload serves every rule selection.
     """
     findings: List[Violation] = []
-    findings.extend(check_native_boundary(model))
     findings.extend(check_concurrency(model))
     findings.extend(check_seed_flow(model))
     findings.extend(check_cache_keys(model))
     findings.extend(check_lock_discipline(model))
     findings.extend(check_shapes(model))
     return sorted(findings)
-
-
-def _kernel_source_fingerprint() -> str:
-    """SHA-256 of the native kernel's C source (REPRO-SHAPE002 and the
-    boundary passes read it), or a sentinel when unavailable."""
-    try:
-        from repro.timing import native
-
-        blob = Path(native.kernel_source_path()).read_bytes()
-    except (OSError, ImportError):
-        return "no-kernel-source"
-    return hashlib.sha256(blob).hexdigest()
 
 
 def analyze_project_paths(
@@ -462,11 +447,10 @@ def analyze_project_paths(
     Per-file rules run through the engine (incrementally, and fanned out
     over ``jobs`` worker processes when ``jobs > 1``; ``jobs <= 0``
     means one per CPU); with ``project`` true (the default) the
-    whole-program checks — REPRO-NATIVE001 array-contract dataflow,
-    REPRO-PAR001/002 concurrency safety, REPRO-SEED001/002 seed-flow
-    taint, REPRO-KEY001 cache-key completeness, REPRO-LOCK001/002 lock
-    discipline, REPRO-SHAPE001/002 symbolic shapes and native buffer
-    obligations, and the REPRO-LINT001 stale-suppression audit — run
+    whole-program checks — REPRO-PAR001/002 concurrency safety,
+    REPRO-SEED001/002 seed-flow taint, REPRO-KEY001 cache-key
+    completeness, REPRO-LOCK001/002 lock discipline, REPRO-SHAPE001
+    constant shapes, and the REPRO-LINT001 stale-suppression audit — run
     over a :class:`ProjectModel` built from the same paths.
     Whole-program findings honor the same ``# repro-lint:`` suppression
     directives as per-file ones, at the primary line or any line of the
@@ -569,9 +553,7 @@ def analyze_project_paths(
     project_findings: List[Violation] = []
     if project:
         global_fp = _digest(
-            catalog_fp,
-            _kernel_source_fingerprint(),
-            *(f"{path}:{shas[path]}" for path in files),
+            catalog_fp, *(f"{path}:{shas[path]}" for path in files)
         )
         project_key = "proj-" + global_fp[:40]
         cached_project: Optional[List[Violation]] = None

@@ -1,12 +1,12 @@
 """Whole-program project model: modules, symbols, and call resolution.
 
 The per-file rule engine (:mod:`repro.analysis.engine`) sees one AST at
-a time, so it cannot answer the questions the repo's native boundary
-and process-pool fan-out raise: *which* function does ``pool.submit``
+a time, so it cannot answer the questions the repo's process-pool
+fan-out and shared state raise: *which* function does ``pool.submit``
 actually run, and what does a value passed three helpers deep look like
-when it reaches ``ctypes``?  This module builds the shared
-whole-program substrate those analyses
-(:mod:`repro.analysis.dataflow`, :mod:`repro.analysis.concurrency`)
+where it is used?  This module builds the shared whole-program
+substrate those analyses (:mod:`repro.analysis.concurrency`,
+:mod:`repro.analysis.seedflow`, :mod:`repro.analysis.shapes`, …)
 reason over:
 
 - a **module table** mapping dotted module names to parsed sources,

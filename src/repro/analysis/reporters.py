@@ -1,11 +1,10 @@
-"""Human and JSON reporters for lint + C-ABI results."""
+"""Human and JSON reporters for lint results."""
 
 from __future__ import annotations
 
 import json
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.analysis.cabi import ABIMismatch
 from repro.analysis.engine import Violation, rule_catalog
 
 __all__ = ["format_human", "format_json", "report_payload"]
@@ -13,7 +12,6 @@ __all__ = ["format_human", "format_json", "report_payload"]
 
 def format_human(
     violations: Sequence[Violation],
-    mismatches: Optional[Sequence[ABIMismatch]] = None,
     *,
     files_checked: int = 0,
     cache_note: Optional[str] = None,
@@ -25,21 +23,13 @@ def format_human(
     between cold and warm runs of the same tree.
     """
     lines: List[str] = [v.format() for v in violations]
-    if mismatches:
-        lines.append("C-ABI cross-check (sta_kernel.c vs ctypes argtypes):")
-        lines.extend(f"  {m.format()}" for m in mismatches)
-    n_violations = len(violations)
-    n_mismatches = len(mismatches) if mismatches is not None else 0
-    if n_violations == 0 and n_mismatches == 0:
-        summary = f"repro-lint: clean ({files_checked} file(s) checked)"
-    else:
-        parts = [f"{n_violations} violation(s)"]
-        if mismatches is not None:
-            parts.append(f"{n_mismatches} ABI mismatch(es)")
+    if violations:
         summary = (
-            f"repro-lint: {', '.join(parts)} "
+            f"repro-lint: {len(violations)} violation(s) "
             f"({files_checked} file(s) checked)"
         )
+    else:
+        summary = f"repro-lint: clean ({files_checked} file(s) checked)"
     if cache_note:
         lines.append(cache_note)
     lines.append(summary)
@@ -47,39 +37,26 @@ def format_human(
 
 
 def report_payload(
-    violations: Sequence[Violation],
-    mismatches: Optional[Sequence[ABIMismatch]] = None,
-    *,
-    files_checked: int = 0,
+    violations: Sequence[Violation], *, files_checked: int = 0
 ) -> Dict[str, Any]:
     """The machine-readable report as a plain dict (``--json`` emits it)."""
     return {
         "files_checked": files_checked,
         "violations": [v.to_dict() for v in violations],
-        "cabi": {
-            "checked": mismatches is not None,
-            "mismatches": [m.to_dict() for m in (mismatches or [])],
-        },
         "rules": rule_catalog(),
         "summary": {
             "violations": len(violations),
-            "abi_mismatches": len(mismatches) if mismatches is not None else 0,
-            "clean": not violations and not mismatches,
+            "clean": not violations,
         },
     }
 
 
 def format_json(
-    violations: Sequence[Violation],
-    mismatches: Optional[Sequence[ABIMismatch]] = None,
-    *,
-    files_checked: int = 0,
+    violations: Sequence[Violation], *, files_checked: int = 0
 ) -> str:
     """Stable, indented JSON rendering of :func:`report_payload`."""
     return json.dumps(
-        report_payload(
-            violations, mismatches, files_checked=files_checked
-        ),
+        report_payload(violations, files_checked=files_checked),
         indent=2,
         sort_keys=True,
     )

@@ -304,11 +304,12 @@ class MLMCEstimator:
                 xi = draw.xi_concat()
             return surrogate.worst_delay(xi)
         fields = draw.coarse_fields if coarse else draw.fine_fields
+        columns = draw.coarse_columns if coarse else draw.fine_columns
         if fields is None:
             raise RuntimeError(
                 "gate fields were not generated for an STA-timed level"
             )
-        return self.engine.run(fields).worst_delay
+        return self.engine.run(fields, columns=columns).worst_delay
 
     def _run_batch(self, level: int, state: _LevelState, count: int) -> None:
         """Draw and evaluate ``count`` coupled samples at ``level``."""

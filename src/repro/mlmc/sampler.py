@@ -64,6 +64,11 @@ def _build_maps(
     return maps
 
 
+def _columns(maps: "Dict[str, _ParameterMap]") -> Dict[str, np.ndarray]:
+    """Parameter name → gate→triangle column map."""
+    return {name: pmap.triangles for name, pmap in maps.items()}
+
+
 @dataclass
 class CoupledDraw:
     """One batch of coupled draws.
@@ -74,8 +79,14 @@ class CoupledDraw:
         Parameter name → ``(N, r_fine)`` iid standard normals (the fine
         level's full block; the coarse level consumes the prefix).
     fine_fields / coarse_fields:
-        Parameter name → ``(N, N_g)`` gate-field matrices, present only
-        when requested (surrogate-timed levels skip the field gather).
+        Parameter name → ``(N, n_t)`` field values on the level's mesh
+        triangles, present only when requested (surrogate-timed levels
+        skip them).  Gate ``g`` reads column ``columns[name][g]``; hand
+        both to ``STAEngine.run(fields, columns=columns)``, which
+        projects them in the timing kernel without a per-gate matrix.
+    fine_columns / coarse_columns:
+        Parameter name → ``(N_g,)`` int64 containing-triangle index of
+        each gate on that member's meshes.
     seconds:
         Wall-clock spent generating this batch.
     """
@@ -83,6 +94,8 @@ class CoupledDraw:
     xi: Dict[str, np.ndarray]
     fine_fields: Optional[Dict[str, np.ndarray]]
     coarse_fields: Optional[Dict[str, np.ndarray]]
+    fine_columns: Dict[str, np.ndarray]
+    coarse_columns: Optional[Dict[str, np.ndarray]]
     seconds: float
 
     def xi_concat(self, ranks: Optional[Dict[str, int]] = None) -> np.ndarray:
@@ -147,8 +160,8 @@ class CoupledLevelSampler:
     ) -> CoupledDraw:
         """Draw ``num_samples`` coupled samples.
 
-        The ``need_*_fields`` flags skip the (N, N_g) gate-field gather
-        for surrogate-timed members that only consume ξ.
+        The ``need_*_fields`` flags skip the ``(N, n_t)`` triangle
+        values for surrogate-timed members that only consume ξ.
         """
         if num_samples < 1:
             raise ValueError(f"num_samples must be >= 1, got {num_samples}")
@@ -166,21 +179,21 @@ class CoupledLevelSampler:
             block = rng.standard_normal((num_samples, fmap.rank))
             xi[name] = block
             if fine_fields is not None:
-                triangle_values = block @ fmap.d_lambda.T
-                fine_fields[name] = np.take(
-                    triangle_values, fmap.triangles, axis=1
-                )
+                fine_fields[name] = block @ fmap.d_lambda.T
             if coarse_fields is not None:
                 cmap = self._coarse_maps[name]
-                coarse_values = block[:, : cmap.rank] @ cmap.d_lambda.T
-                coarse_fields[name] = np.take(
-                    coarse_values, cmap.triangles, axis=1
-                )
+                coarse_fields[name] = block[:, : cmap.rank] @ cmap.d_lambda.T
         seconds = time.perf_counter() - start
         return CoupledDraw(
             xi=xi,
             fine_fields=fine_fields,
             coarse_fields=coarse_fields,
+            fine_columns=_columns(self._fine_maps),
+            coarse_columns=(
+                None
+                if self._coarse_maps is None
+                else _columns(self._coarse_maps)
+            ),
             seconds=seconds,
         )
 

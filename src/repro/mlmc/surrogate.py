@@ -70,15 +70,14 @@ class LinearDelaySurrogate:
         self.build_seconds = time.perf_counter() - start
 
     def _fields_from_xi(self, xi: np.ndarray) -> Dict[str, np.ndarray]:
-        """Map concatenated ``(N, d)`` ξ rows to per-parameter gate fields."""
+        """Map concatenated ``(N, d)`` ξ rows to per-parameter ``(N, n_t)``
+        triangle values (gate ``g`` reads ``_maps[name].triangles[g]``)."""
         fields: Dict[str, np.ndarray] = {}
         offset = 0
         for name, pmap in self._maps.items():
             block = xi[:, offset : offset + pmap.rank]
             offset += pmap.rank
-            fields[name] = np.take(
-                block @ pmap.d_lambda.T, pmap.triangles, axis=1
-            )
+            fields[name] = block @ pmap.d_lambda.T
         return fields
 
     def _build(self, engine: STAEngine) -> None:
@@ -86,7 +85,12 @@ class LinearDelaySurrogate:
         design = np.zeros((2 * d + 1, d))
         design[1 : d + 1] = h * np.eye(d)
         design[d + 1 :] = -h * np.eye(d)
-        result = engine.run(self._fields_from_xi(design))
+        result = engine.run(
+            self._fields_from_xi(design),
+            columns={
+                name: pmap.triangles for name, pmap in self._maps.items()
+            },
+        )
         self._end_names = tuple(sorted(result.end_arrivals))
         arrivals = np.stack(
             [result.end_arrivals[name] for name in self._end_names]

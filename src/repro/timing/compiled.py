@@ -38,17 +38,25 @@ Performance comes from four structural decisions:
 2. **Fused projection.**  Each parameter arrives as a value matrix plus
    an optional gate→column map: per-gate ``(N, N_g)`` samples (no map,
    the identity) or Algorithm 2's ``(N, n_t)`` triangle values with each
-   gate's containing-triangle column.  The native kernel computes
+   gate's containing-triangle column (the MLMC levels hand their
+   triangle values over the same way).  The native kernel computes
    ``u = Σ_j w_j p_j[col_j]`` itself, per gate and lane, from a packed
    ``(K, B)`` block — every parameter's ``K_j`` value columns side by
    side, each column's ``B`` sample lanes contiguous like the arenas —
-   and per-gate column/weight tables, so the projection threads with
-   the lanes and stays bitwise under every lane partition.  Neither the
-   gathered ``(N, N_g)`` samples nor ``u`` is ever materialized; the
-   gather costs 4 loads per gate per sample (Algorithm 2 reads
-   ``4·n_t`` values per sample instead of ``4·N_g``).  The numpy path
-   gathers each block's columns with ``np.take`` and accumulates ``u``
-   per block, bitwise as on pre-gathered samples.
+   and the per-row column/weight tables (``u_col``/``u_w``) that
+   :meth:`CompiledTimingProgram._pack_images` writes into the kernel's
+   program images once per :meth:`~CompiledTimingProgram.execute`
+   call, next to the slot schedule and the gate coefficients.  The
+   projection therefore threads with the lanes and stays bitwise under
+   every lane partition.  Neither the gathered ``(N, N_g)`` samples nor
+   ``u`` is ever materialized; the gather costs 4 loads per gate per
+   sample (Algorithm 2 reads ``4·n_t`` values per sample instead of
+   ``4·N_g``).  ``sta_run`` validates both images and every buffer
+   length before it starts, so a mis-sized table or arena is a
+   :class:`~repro.timing.native.NativeKernelError`, not memory
+   corruption.  The numpy path gathers each block's columns with
+   ``np.take`` and accumulates ``u`` per block, bitwise as on
+   pre-gathered samples.
 3. **Fanin grouping.**  Gates within a level are reordered by fanin
    count so each group is a regular ``(N_b, G, k)`` reshape *view*
    (no ragged segments, no ``reduceat``), and per-gate coefficients
@@ -83,7 +91,7 @@ chunked and unchunked compiled runs are bitwise identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -103,7 +111,9 @@ BLOCK_BYTE_BUDGET = 96 * 1024 * 1024
 #: Byte budget for the native kernel's per-block working set: the packed
 #: ``(K, N_b)`` value block (``K`` = summed value columns, ``4·n_t`` for
 #: Algorithm 2, ``4·N_g`` for per-gate samples), both arenas and the
-#: per-worker scratch.  Much tighter than the numpy budget: the kernel
+#: per-worker scratch.  The program images (slot schedule, coefficients,
+#: ``u_col``/``u_w``) are read once per gate, not per lane, and are not
+#: counted.  Much tighter than the numpy budget: the kernel
 #: reads each gate's value columns at scattered offsets, so the packed
 #: block should stay cache-resident.  On s15850/N=2000 (2-core Xeon,
 #: 4 MiB L2 per core) the Algorithm 2 sweep was flat within run-to-run
@@ -190,6 +200,25 @@ class CompiledRunOutput:
 def _view(buffer: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """Contiguous ``(rows, cols)`` view of a flat scratch buffer."""
     return buffer[: rows * cols].reshape(rows, cols)
+
+
+def _image(
+    header: Sequence[int],
+    sections: Dict[str, np.ndarray],
+    order: Sequence[str],
+    dtype: type,
+) -> np.ndarray:
+    """One native program image: ``header``, the offset of each section
+    in ``order``, then those sections back to back (the layout
+    ``sta_kernel.c`` reads)."""
+    parts = [sections[name] for name in order]
+    start = len(header) + len(parts)
+    sizes = [part.size for part in parts]
+    image = np.empty(start + sum(sizes), dtype=dtype)
+    image[: len(header)] = header
+    image[len(header) : start] = start + np.cumsum([0] + sizes[:-1])
+    np.concatenate(parts, out=image[start:])
+    return image
 
 
 class _Scratch:
@@ -445,9 +474,7 @@ class CompiledTimingProgram:
         # order of sta_kernel.c's sequential pin counter.
         def _cat(parts: List[np.ndarray], dtype: type) -> np.ndarray:
             if parts:
-                return np.ascontiguousarray(
-                    np.concatenate(parts).astype(dtype, copy=False)
-                )
+                return np.concatenate(parts).astype(dtype, copy=False)
             return np.zeros(0, dtype=dtype)
 
         self._k_fanin = _cat(
@@ -474,21 +501,7 @@ class CompiledTimingProgram:
             [lv.pin_wire_delay for lv in levels], np.float64
         )
         self._k_p_step2 = _cat([lv.pin_step2 for lv in levels], np.float64)
-        # Every per-gate table must have exactly one entry per scheduled
-        # gate: the native kernel walks them with a single gate counter
-        # bounded by num_gates == _k_fanin.size, so a shorter table is an
-        # out-of-bounds read.  REPRO-SHAPE002 discharges the g_* buffer
-        # obligations by unifying these sizes with the bound.
-        assert self._k_out_slot.size == self._k_fanin.size
-        assert self._k_out_col.size == self._k_fanin.size
-        assert self._k_bd.size == self._k_fanin.size
-        assert self._k_dsl.size == self._k_fanin.size
-        assert self._k_bs.size == self._k_fanin.size
-        assert self._k_ssl.size == self._k_fanin.size
-        assert self._k_k1.size == self._k_fanin.size
-        assert self._k_k2.size == self._k_fanin.size
-        assert self._k_m1.size == self._k_fanin.size
-        assert self._k_m2.size == self._k_fanin.size
+        self._num_pins = int(self._k_fanin.sum())
         #: Whether the most recent :meth:`execute` used the native
         #: kernel (for benchmark reporting); ``None`` before any run.
         self.last_run_native: Optional[bool] = None
@@ -503,33 +516,15 @@ class CompiledTimingProgram:
         self._dff_d_load = packed.d_load[dff_gate_ids]
         self._dff_s0 = packed.s0[dff_gate_ids]
         self._dff_s_load = packed.s_load[dff_gate_ids]
-        # The four sensitivity rows and the two nominal rows go straight
-        # to the native kernel as POINTER(c_double) arguments, so their
-        # float64/C-contiguous contract is pinned here at pack time
-        # (REPRO-NATIVE001 proves it through to the ctypes boundary).
-        self._dff_k1 = np.ascontiguousarray(
-            packed.k1[dff_gate_ids], dtype=np.float64
-        )
-        self._dff_k2 = np.ascontiguousarray(
-            packed.k2[dff_gate_ids], dtype=np.float64
-        )
-        self._dff_m1 = np.ascontiguousarray(
-            packed.m1[dff_gate_ids], dtype=np.float64
-        )
-        self._dff_m2 = np.ascontiguousarray(
-            packed.m2[dff_gate_ids], dtype=np.float64
-        )
+        self._dff_k1 = packed.k1[dff_gate_ids]
+        self._dff_k2 = packed.k2[dff_gate_ids]
+        self._dff_m1 = packed.m1[dff_gate_ids]
+        self._dff_m2 = packed.m2[dff_gate_ids]
         self._dff_total_cap = pw.total_cap_ff[dff_out_cols]
         self._dff_pin_cap = pw.pin_cap_ff[dff_out_cols]
         self._dff_wire_cap = pw.wire_cap_ff[dff_out_cols]
-        self._dff_dnom = np.ascontiguousarray(
-            self._dff_d0 + self._dff_d_load * self._dff_total_cap,
-            dtype=np.float64,
-        )
-        self._dff_snom = np.ascontiguousarray(
-            self._dff_s0 + self._dff_s_load * self._dff_total_cap,
-            dtype=np.float64,
-        )
+        self._dff_dnom = self._dff_d0 + self._dff_d_load * self._dff_total_cap
+        self._dff_snom = self._dff_s0 + self._dff_s_load * self._dff_total_cap
         # Unique end nets, first-appearance order (matches the reference
         # result dict, which deduplicates implicitly).
         unique_ends = list(dict.fromkeys(levelized.end_nets))
@@ -766,50 +761,43 @@ class CompiledTimingProgram:
 
     def _execute_native(
         self,
-        kernel: Callable[..., None],
+        kernel: Any,
         num_samples: int,
         parameter_products: Optional[Sequence[ParameterTerm]],
         input_slew_ps: float,
         keep_all: bool,
         threads: int = 1,
     ) -> CompiledRunOutput:
-        """Drive ``sta_kernel.c`` over sample blocks.
+        """Drive ``sta_kernel.c``'s ``sta_run`` over sample blocks.
 
-        The numpy side only packs each block's parameter values as
+        The numpy side packs the program images once per call
+        (:meth:`_pack_images`), packs each block's parameter values as
         ``(K, B)`` value columns — every parameter's columns side by
-        side, each column's sample lanes contiguous — and reads back
-        the end arrivals.  The projection ``u`` and everything after it
-        live in the kernel's fused per-gate loop, which gathers each
-        gate's values through the ``u_col``/``u_w`` tables built here
-        once per call.  The packed block and the arenas are flat
-        ``(rows × B)`` buffers, so partial trailing blocks simply use a
-        shorter sample stride — per-sample results are independent of
-        the blocking, keeping chunked runs bitwise identical.
+        side, each column's sample lanes contiguous — and reads back the
+        end arrivals.  The projection ``u`` and everything after it live
+        in the kernel's fused per-gate loop.  The packed block and the
+        arenas are flat ``(rows × B)`` buffers, so partial trailing
+        blocks simply use a shorter sample stride — per-sample results
+        are independent of the blocking, keeping chunked runs bitwise
+        identical.
 
         With ``threads > 1`` the block's sample lanes are partitioned
-        across the kernel's worker team (``sta_eval_gates_mt``); each
-        worker gets a private ``4 × B`` scratch block inside
-        ``kscratch``.  Per-lane arithmetic is identical under every
-        partition, so results are bitwise independent of ``threads``.
+        across the kernel's worker team; each worker gets a private
+        ``4 × B`` scratch block inside ``kscratch``.  Per-lane arithmetic
+        is identical under every partition, so results are bitwise
+        independent of ``threads``.  The kernel validates the images and
+        every buffer length on entry and a rejected call raises
+        :class:`~repro.timing.native.NativeKernelError`.
         """
-        import ctypes
-
         threads = max(int(threads), 1)
-        kernel_mt = native.load_kernel_mt() if threads > 1 else None
-        if threads > 1 and kernel_mt is None:
-            threads = 1
         width = self.num_nets if keep_all else self.num_slots
         products = list(parameter_products or ())
-        num_params = len(products)
+        prog, coef = self._pack_images(keep_all, products, input_slew_ps)
         value_cols = sum(values.shape[1] for values, _, _ in products)
         block = self._native_block_size(
             num_samples, width, threads, value_cols
         )
 
-        pi_idx = self._pi_cols if keep_all else self._pi_slots
-        dff_idx = self._dff_out_cols if keep_all else self._dff_out_slots
-        p_slot = self._k_p_col if keep_all else self._k_p_slot
-        out_slot = self._k_out_col if keep_all else self._k_out_slot
         worst_idx = self._end_cols if keep_all else self._end_slots
         out_names = self.net_order if keep_all else self._end_names
         end_out = np.empty((len(out_names), num_samples))
@@ -818,29 +806,7 @@ class CompiledTimingProgram:
         arena_a = np.empty(width * block)
         arena_s = np.empty(width * block)
         kscratch = np.empty(4 * block * threads)
-        packed = u_col = u_w = None
-        if products:
-            # One projection row per DFF and per scheduled gate, P
-            # (column, weight) pairs each.  The size pin: both tables
-            # are allocated from exactly the counts the call passes as
-            # num_dff / num_gates / num_params, so REPRO-SHAPE002 proves
-            # the kernel's (num_dff + num_gates) * P extent directly.
-            num_dff = dff_idx.size
-            num_gates = self._k_fanin.size
-            table_size = (num_dff + num_gates) * num_params
-            u_col = np.empty(table_size, dtype=np.int64)
-            u_w = np.empty(table_size)
-            self._fill_projection_tables(u_col, u_w, products)
-            packed = np.empty(block * value_cols)
-
-        p_f64 = ctypes.POINTER(ctypes.c_double)
-        p_i64 = ctypes.POINTER(ctypes.c_int64)
-
-        def pd(a: np.ndarray) -> Any:
-            return a.ctypes.data_as(p_f64)
-
-        def pi(a: np.ndarray) -> Any:
-            return a.ctypes.data_as(p_i64)
+        packed = np.empty(block * value_cols) if products else None
 
         for start in range(0, num_samples, block):
             stop = min(start + block, num_samples)
@@ -852,51 +818,9 @@ class CompiledTimingProgram:
                     cols = values.shape[1]
                     lanes[offset : offset + cols] = values[start:stop].T
                     offset += cols
-            entry: Any = kernel if threads == 1 else kernel_mt
-            extra: Tuple[int, ...] = () if threads == 1 else (threads,)
-            entry(
-                rows,
-                num_params,
-                value_cols,
-                pd(packed) if packed is not None else None,
-                pi(u_col) if u_col is not None else None,
-                pd(u_w) if u_w is not None else None,
-                input_slew_ps,
-                pi(pi_idx),
-                pi_idx.size,
-                pi(dff_idx),
-                pd(self._dff_dnom),
-                pd(self._dff_snom),
-                pd(self._dff_k1),
-                pd(self._dff_k2),
-                pd(self._dff_m1),
-                pd(self._dff_m2),
-                dff_idx.size,
-                self._k_fanin.size,
-                pi(self._k_fanin),
-                pi(out_slot),
-                pd(self._k_bd),
-                pd(self._k_dsl),
-                pd(self._k_bs),
-                pd(self._k_ssl),
-                pd(self._k_k1),
-                pd(self._k_k2),
-                pd(self._k_m1),
-                pd(self._k_m2),
-                # The kernel walks the pin tables with a running counter
-                # `p` (reset per gate, bounded by the per-gate fanin it
-                # just read), so cabi.py cannot derive an affine extent.
-                # Hand proof: `p` advances once per pin visit and the
-                # fanin table is built from the same per-level pin_gate
-                # arrays the pin tables concatenate, so the final value
-                # of `p` equals each table's length by construction.
-                pi(p_slot),  # repro-lint: disable=REPRO-SHAPE002
-                pd(self._k_p_wd),  # repro-lint: disable=REPRO-SHAPE002
-                pd(self._k_p_step2),  # repro-lint: disable=REPRO-SHAPE002
-                pd(arena_a),
-                pd(arena_s),
-                pd(kscratch),
-                *extra,
+            native.run_kernel(
+                kernel, prog, coef, packed, arena_a, arena_s, kscratch,
+                rows, threads,
             )
             av = arena_a[: width * rows].reshape(width, rows)
             ends = None
@@ -919,13 +843,81 @@ class CompiledTimingProgram:
             num_samples=num_samples,
         )
 
-    def _fill_projection_tables(
+    def _pack_images(
         self,
-        u_col: np.ndarray,
-        u_w: np.ndarray,
+        keep_all: bool,
         products: Sequence[ParameterTerm],
-    ) -> None:
-        """Write the kernel's per-row value columns and weights.
+        input_slew_ps: float,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The kernel's int64 ``prog`` and float64 ``coef`` images.
+
+        The layout (header counts, section offsets, section order) is
+        documented in ``sta_kernel.c``; the section names are
+        :data:`~repro.timing.native.PROG_SECTIONS` and
+        :data:`~repro.timing.native.COEF_SECTIONS`.  The headers record
+        where each section actually landed, and the kernel checks every
+        extent against the counts, so a section packed short or long is
+        a :class:`~repro.timing.native.NativeKernelError`, never an
+        out-of-bounds access.
+        """
+        u_col, u_w = self._projection_tables(products)
+        pi_idx = self._pi_cols if keep_all else self._pi_slots
+        dff_idx = self._dff_out_cols if keep_all else self._dff_out_slots
+        counts = {
+            "num_pi": pi_idx.size,
+            "num_dff": dff_idx.size,
+            "num_gates": self._k_fanin.size,
+            "num_pins": self._num_pins,
+            "width": self.num_nets if keep_all else self.num_slots,
+            "num_params": len(products),
+            "num_value_cols": sum(v.shape[1] for v, _, _ in products),
+        }
+        prog = _image(
+            [native.STA_MAGIC] + [counts[name] for name in native.PROG_COUNTS],
+            {
+                "pi_slot": pi_idx,
+                "dff_slot": dff_idx,
+                "g_fanin": self._k_fanin,
+                "g_out_slot": (
+                    self._k_out_col if keep_all else self._k_out_slot
+                ),
+                "p_slot": self._k_p_col if keep_all else self._k_p_slot,
+                "u_col": u_col,
+            },
+            native.PROG_SECTIONS,
+            np.int64,
+        )
+        coef = _image(
+            [native.STA_MAGIC],
+            {
+                "input_slew": np.array([input_slew_ps]),
+                "dff_dnom": self._dff_dnom,
+                "dff_snom": self._dff_snom,
+                "dff_k1": self._dff_k1,
+                "dff_k2": self._dff_k2,
+                "dff_m1": self._dff_m1,
+                "dff_m2": self._dff_m2,
+                "g_bd": self._k_bd,
+                "g_dsl": self._k_dsl,
+                "g_bs": self._k_bs,
+                "g_ssl": self._k_ssl,
+                "g_k1": self._k_k1,
+                "g_k2": self._k_k2,
+                "g_m1": self._k_m1,
+                "g_m2": self._k_m2,
+                "p_wd": self._k_p_wd,
+                "p_step2": self._k_p_step2,
+                "u_w": u_w,
+            },
+            native.COEF_SECTIONS,
+            np.float64,
+        )
+        return prog, coef
+
+    def _projection_tables(
+        self, products: Sequence[ParameterTerm]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The kernel's per-row value columns and weights, flattened.
 
         Row ``r`` (a DFF, then a scheduled gate; see ``_proj_gid``)
         holds, for each parameter ``j`` in order, the packed-block column
@@ -934,14 +926,15 @@ class CompiledTimingProgram:
         gate's weight for ``j``.
         """
         rows = self._proj_gid
-        cols = u_col.reshape(rows.size, len(products))
-        weights = u_w.reshape(rows.size, len(products))
+        u_col = np.empty((rows.size, len(products)), dtype=np.int64)
+        u_w = np.empty((rows.size, len(products)))
         offset = 0
-        for j, (values, columns, term_weights) in enumerate(products):
+        for j, (values, columns, weights) in enumerate(products):
             gate_cols = rows if columns is None else np.take(columns, rows)
-            cols[:, j] = gate_cols + offset
-            weights[:, j] = np.take(term_weights, rows)
+            u_col[:, j] = gate_cols + offset
+            u_w[:, j] = np.take(weights, rows)
             offset += values.shape[1]
+        return u_col.ravel(), u_w.ravel()
 
     def _init_dffs(
         self,

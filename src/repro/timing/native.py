@@ -1,4 +1,4 @@
-"""Build and load the optional native STA block kernel.
+"""Build, load and call the optional native STA block kernel.
 
 :mod:`repro.timing.compiled` evaluates sample blocks with numpy array
 operations.  When a C compiler is available, the same flattened program
@@ -10,25 +10,43 @@ directory (``REPRO_CACHE_DIR``, default ``.repro_cache``) and loads it
 with :mod:`ctypes`; nothing is installed and no third-party build
 tooling is used.
 
-The kernel is strictly optional: if there is no compiler, the build
-fails, or ``REPRO_NO_NATIVE=1`` is set, :func:`load_kernel` returns
-``None`` and the engine silently stays on the numpy path.  Results are
-within floating-point reassociation error (``rtol=1e-12``) of both the
-numpy path and the reference engine, and are bitwise reproducible across
-chunk/block partitionings.
+One entry point.  The kernel exports a single function, ``sta_run``
+(:data:`KERNEL_FUNCTION`), which takes two self-describing program
+images — an int64 ``prog`` and a float64 ``coef``, each a header of
+counts and section offsets followed by the sections (layout in
+``sta_kernel.c``, section names in :data:`PROG_SECTIONS` and
+:data:`COEF_SECTIONS`) — plus the value block, the arenas, the scratch,
+each with its length, and the row and thread counts.  Threads = 1 is the
+serial sweep.  :func:`run_kernel` is the only caller.
 
-Threading: the kernel also exports ``sta_eval_gates_mt``, which
-partitions the sample lanes of each block across a worker team.  The
-parallel backend is probed at build time (:func:`thread_backend`):
-OpenMP when a ``-fopenmp`` compile succeeds, raw pthreads otherwise,
-sequential-sweep fallback when neither works — and the chosen backend's
-flags are folded into the build key, so toolchains with different
-threading support never share a ``.so``.  ``REPRO_NATIVE_THREADS``
-selects the worker count (unset → 1, ``auto``/``0`` → all cores, a
-positive integer → that many; anything else raises ``ValueError``) and
-``REPRO_NATIVE_THREAD_BACKEND`` can pin the backend for testing.
-Per-lane arithmetic is identical for every lane partition, so results
-are bitwise independent of the thread count.
+Loud validation.  ``sta_run`` checks the headers against the buffer
+lengths it was given and every data-dependent index before it touches a
+lane; a violation returns a code that :func:`run_kernel` raises as
+:class:`NativeKernelError`, naming the bad section.  Whatever a caller
+passes, the kernel does not read or write out of bounds.  The one check
+left to Python is what each pointer claims: :func:`run_kernel` refuses a
+buffer that is not C-contiguous or has the wrong dtype (``TypeError``).
+
+The kernel is optional: with no compiler, a failed build, or
+``REPRO_NO_NATIVE=1``, :func:`load_kernel` returns ``None`` and the
+engine runs the numpy path (``CompiledTimingProgram.last_run_native``
+records which path a run took).  A cached ``.so`` that fails the digest
+its build recorded (truncated or corrupt) is rebuilt, not loaded.
+Results are within floating-point reassociation error (``rtol=1e-12``)
+of both the numpy path and the reference engine, and are bitwise
+reproducible across chunk/block partitionings.
+
+Threading: ``sta_run`` partitions the sample lanes of each block across
+a worker team.  The parallel backend is probed at build time
+(:func:`thread_backend`): OpenMP when a ``-fopenmp`` compile succeeds,
+raw pthreads otherwise, sequential-sweep fallback when neither works —
+and the chosen backend's flags are folded into the build key, so
+toolchains with different threading support never share a ``.so``.
+``REPRO_NATIVE_THREADS`` selects the worker count (unset → 1,
+``auto``/``0`` → all cores, a positive integer → that many; anything
+else raises ``ValueError``) and ``REPRO_NATIVE_THREAD_BACKEND`` can pin
+the backend for testing.  Per-lane arithmetic is identical for every
+lane partition, so results are bitwise independent of the thread count.
 
 Setting ``REPRO_SANITIZE=ubsan`` (or ``asan``, comma-separable) switches
 to an instrumented build — ``-O1 -g -fsanitize=... -fno-sanitize-
@@ -47,7 +65,9 @@ import os
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 _SOURCE = Path(__file__).with_name("sta_kernel.c")
 _CFLAGS = ["-O3", "-march=native", "-shared", "-fPIC"]
@@ -66,14 +86,8 @@ _SANITIZE_FLAG_MAP = {
 #: bitwise behavior and cache key) never change when sanitizers exist.
 _SANITIZE_BASE_CFLAGS = ["-O1", "-g", "-shared", "-fPIC"]
 
-#: Name of the serial kernel entry point in ``sta_kernel.c``.
-KERNEL_FUNCTION = "sta_eval_gates"
-
-#: Name of the sample-parallel kernel entry point in ``sta_kernel.c``.
-KERNEL_FUNCTION_MT = "sta_eval_gates_mt"
-
-#: ctypes result type of both kernels (``void``).
-KERNEL_RESTYPE = None
+#: The one exported entry point of ``sta_kernel.c``.
+KERNEL_FUNCTION = "sta_run"
 
 #: Compiler flags per thread backend.  ``pthreads`` defines
 #: ``REPRO_USE_PTHREADS`` so ``sta_kernel.c`` compiles its pthread
@@ -92,7 +106,7 @@ _PTHREAD_PROBE = (
     "return pthread_create(&t, 0, noop, 0) == 0 ? pthread_join(t, 0) : 1;}\n"
 )
 
-_cached: Optional[Tuple[object, Optional[object]]] = None
+_cached: Optional[Any] = None
 _cached_key: Optional[str] = None
 _compiler_identity_cache: Optional[str] = None
 _thread_backend_cache: Optional[str] = None
@@ -113,9 +127,10 @@ def sanitize_mode() -> Tuple[str, ...]:
     uninstrumented kernel would defeat the whole point of the mode.
 
     Note on ``asan``: loading an ASan-instrumented ``.so`` into an
-    uninstrumented Python requires ``LD_PRELOAD``-ing the ASan runtime;
-    CI therefore exercises ``ubsan``, which gcc links self-contained
-    into shared objects.
+    uninstrumented Python requires ``LD_PRELOAD``-ing the ASan runtime
+    (``gcc -print-file-name=libasan.so``) and ``ASAN_OPTIONS=
+    detect_leaks=0``; ``ubsan`` needs neither, gcc links it
+    self-contained into shared objects.
     """
     raw = os.environ.get("REPRO_SANITIZE", "")
     groups: List[str] = []
@@ -211,8 +226,8 @@ def thread_backend() -> str:
 
     Probes the toolchain once per process: ``"openmp"`` when a
     ``-fopenmp`` compile succeeds, else ``"pthreads"`` when ``-pthread``
-    works, else ``"none"`` (the ``_mt`` entry point still exists but
-    sweeps lane ranges sequentially).  ``REPRO_NATIVE_THREAD_BACKEND``
+    works, else ``"none"`` (``sta_run`` then sweeps a threaded call's
+    lane ranges sequentially).  ``REPRO_NATIVE_THREAD_BACKEND``
     pins the answer — ``openmp``/``pthreads``/``none``, case-insensitive
     — skipping the probe, which is how tests exercise the fallback
     paths deterministically; an unknown value raises ``ValueError``.
@@ -322,68 +337,243 @@ def kernel_build_info() -> Dict[str, Union[str, int, Tuple[str, ...], List[str]]
     }
 
 
-def kernel_source_path() -> Path:
-    """Path of the C source the kernel is compiled from."""
-    return _SOURCE
+#: Magic word opening both program images (``"STA1"``).
+STA_MAGIC = 0x53544131
+
+#: The ``prog`` header after the magic word: the counts, in order.
+PROG_COUNTS = (
+    "num_pi",
+    "num_dff",
+    "num_gates",
+    "num_pins",
+    "width",
+    "num_params",
+    "num_value_cols",
+)
+
+#: Sections of the int64 ``prog`` image, in layout order.
+PROG_SECTIONS = (
+    "pi_slot",
+    "dff_slot",
+    "g_fanin",
+    "g_out_slot",
+    "p_slot",
+    "u_col",
+)
+
+#: Sections of the float64 ``coef`` image, in layout order.
+COEF_SECTIONS = (
+    "input_slew",
+    "dff_dnom",
+    "dff_snom",
+    "dff_k1",
+    "dff_k2",
+    "dff_m1",
+    "dff_m2",
+    "g_bd",
+    "g_dsl",
+    "g_bs",
+    "g_ssl",
+    "g_k1",
+    "g_k2",
+    "g_m1",
+    "g_m2",
+    "p_wd",
+    "p_step2",
+    "u_w",
+)
+
+#: ``sta_run`` return code → (section, what is wrong); mirrors the
+#: ``STA_ERR_*`` enum in ``sta_kernel.c``.
+ERROR_CODES: Dict[int, Tuple[str, str]] = {
+    1: ("rows", "must lie in [0, 2**30]"),
+    2: ("threads", "must lie in [1, 2**30]"),
+    3: ("prog", "is missing or shorter than its header"),
+    4: ("prog", "does not start with the STA1 magic word"),
+    5: ("coef", "is missing or shorter than its header"),
+    6: ("coef", "does not start with the STA1 magic word"),
+    50: ("pi_slot", "has an entry outside [0, width)"),
+    51: ("dff_slot", "has an entry outside [0, width)"),
+    52: ("g_fanin", "has an entry outside [1, num_pins]"),
+    53: ("g_fanin", "does not sum to num_pins"),
+    54: ("g_out_slot", "has an entry outside [0, width)"),
+    55: ("p_slot", "has an entry outside [0, width)"),
+    56: ("u_col", "has an entry outside [0, num_value_cols)"),
+    60: ("values", "is shorter than num_value_cols * rows"),
+    61: ("arena_a", "is shorter than width * rows"),
+    62: ("arena_s", "is shorter than width * rows"),
+    63: ("scratch", "is shorter than 4 * rows * threads"),
+}
+ERROR_CODES.update(
+    {10 + 1 + i: (name, "count must lie in [0, 2**30]")
+     for i, name in enumerate(PROG_COUNTS)}
+)
+ERROR_CODES.update(
+    {20 + i: (name, "section extent does not match its count")
+     for i, name in enumerate(PROG_SECTIONS)}
+)
+ERROR_CODES.update(
+    {30 + i: (name, "section extent does not match its count")
+     for i, name in enumerate(COEF_SECTIONS)}
+)
 
 
-def kernel_argtypes() -> List[type]:
-    """The ctypes ``argtypes`` declaration for :data:`KERNEL_FUNCTION`.
+class NativeKernelError(RuntimeError):
+    """``sta_run`` refused a call whose images or buffers are inconsistent.
 
-    This list is the Python side of the C ABI contract with
-    ``sta_kernel.c``; :mod:`repro.analysis.cabi` cross-checks it against
-    the parsed C prototype (arity, pointer width, element dtype) so a
-    skewed edit fails the lint gate instead of corrupting memory in the
-    native hot path.
+    ``code`` is the kernel's return code and ``section`` the image
+    section or buffer it names.  Raised before the kernel touches a
+    single lane, so nothing was read or written out of bounds.
     """
-    i64 = ctypes.c_int64
-    p_i64 = ctypes.POINTER(ctypes.c_int64)
-    p_f64 = ctypes.POINTER(ctypes.c_double)
-    return [
-        i64, i64, i64, p_f64, p_i64, p_f64, ctypes.c_double,
-        p_i64, i64,
-        p_i64, p_f64, p_f64, p_f64, p_f64, p_f64, p_f64, i64,
-        i64,
-        p_i64, p_i64,
-        p_f64, p_f64, p_f64, p_f64,
-        p_f64, p_f64, p_f64, p_f64,
-        p_i64, p_f64, p_f64,
-        p_f64, p_f64, p_f64,
+
+    def __init__(self, code: int):
+        section, problem = ERROR_CODES.get(code, ("?", "unknown error code"))
+        super().__init__(
+            f"sta_run rejected the call (code {code}): {section} {problem}"
+        )
+        self.code = code
+        self.section = section
+
+
+def _buffer(array: Optional[np.ndarray], dtype: type) -> Tuple[Any, int]:
+    """``(pointer, length)`` of a C-contiguous ``dtype`` array.
+
+    ``None`` passes as ``(NULL, 0)``.
+    """
+    if array is None:
+        return None, 0
+    if array.dtype != dtype or not array.flags.c_contiguous:
+        raise TypeError(
+            f"sta_run needs C-contiguous {np.dtype(dtype).name} buffers, "
+            f"got {array.dtype} (C-contiguous: {array.flags.c_contiguous})"
+        )
+    return array.ctypes.data, array.size
+
+
+def run_kernel(
+    kernel: Any,
+    prog: np.ndarray,
+    coef: np.ndarray,
+    values: Optional[np.ndarray],
+    arena_a: np.ndarray,
+    arena_s: np.ndarray,
+    scratch: np.ndarray,
+    rows: int,
+    threads: int,
+) -> None:
+    """Evaluate one sample block with ``sta_run``; raise on a rejected call.
+
+    The kernel validates everything it is handed against the buffer
+    lengths passed alongside, so the only Python-side obligations left
+    are the element type and layout each pointer claims, and the one
+    length ``sta_run`` takes for both arenas: arenas of different
+    lengths are rejected here, naming the shorter one.
+    """
+    a_ptr, arena_len = _buffer(arena_a, np.float64)
+    s_ptr, s_len = _buffer(arena_s, np.float64)
+    if s_len != arena_len:
+        raise NativeKernelError(61 if arena_len < s_len else 62)
+    code = kernel(
+        *_buffer(prog, np.int64),
+        *_buffer(coef, np.float64),
+        *_buffer(values, np.float64),
+        a_ptr,
+        s_ptr,
+        arena_len,
+        *_buffer(scratch, np.float64),
+        rows,
+        threads,
+    )
+    if code:
+        raise NativeKernelError(code)
+
+
+def _digest_path(lib_path: Path) -> Path:
+    """Where the SHA-256 of a completed build of ``lib_path`` is recorded."""
+    return lib_path.with_suffix(".sha256")
+
+
+def _intact(lib_path: Path) -> bool:
+    """Whether ``lib_path`` still matches the digest its build recorded.
+
+    ``dlopen`` does not reject a truncated shared object, it maps it and
+    dies of ``SIGBUS`` while relocating, so a cached file is only loaded
+    after this check.
+    """
+    try:
+        recorded = _digest_path(lib_path).read_text(encoding="ascii").strip()
+        blob = lib_path.read_bytes()
+    except OSError:
+        return False
+    return hashlib.sha256(blob).hexdigest() == recorded
+
+
+def _compile(lib_path: Path, cflags: Sequence[str]) -> bool:
+    """Compile the kernel into ``lib_path`` atomically; ``False`` on failure.
+
+    Builds go to temp files that are then ``os.replace``-d into place —
+    the digest :func:`_intact` checks first, then the library — so
+    concurrent processes (e.g. ``table1`` workers) never load a
+    half-written library.
+    """
+    tmps: List[str] = []
+    try:
+        lib_path.parent.mkdir(parents=True, exist_ok=True)
+        for suffix in (".so.tmp", ".sha256.tmp"):
+            fd, tmp = tempfile.mkstemp(dir=lib_path.parent, suffix=suffix)
+            os.close(fd)
+            tmps.append(tmp)
+        subprocess.run(
+            ["cc", *cflags, str(_SOURCE), "-o", tmps[0], "-lm"],
+            check=True,
+            capture_output=True,
+            timeout=120,
+        )
+        digest = hashlib.sha256(Path(tmps[0]).read_bytes()).hexdigest()
+        Path(tmps[1]).write_text(digest + "\n", encoding="ascii")
+        os.replace(tmps[1], _digest_path(lib_path))
+        os.replace(tmps[0], lib_path)
+        return True
+    except (OSError, subprocess.SubprocessError, ValueError):
+        # No compiler, compile error, timeout, or an unwritable cache
+        # dir — all mean "stay on the numpy path", never a crash.
+        for tmp in tmps:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        return False
+
+
+def _open(lib_path: Path) -> Optional[Any]:
+    """The ``sta_run`` function of the library at ``lib_path``, or ``None``."""
+    try:
+        fn = getattr(ctypes.CDLL(str(lib_path)), KERNEL_FUNCTION)
+    except (OSError, AttributeError):
+        return None
+    fn.argtypes = [
+        ctypes.c_void_p, ctypes.c_int64,    # prog
+        ctypes.c_void_p, ctypes.c_int64,    # coef
+        ctypes.c_void_p, ctypes.c_int64,    # values
+        ctypes.c_void_p, ctypes.c_void_p,   # arena_a, arena_s
+        ctypes.c_int64,                     # arena_len
+        ctypes.c_void_p, ctypes.c_int64,    # scratch
+        ctypes.c_int64, ctypes.c_int64,     # rows, threads
     ]
+    fn.restype = ctypes.c_int64
+    return fn
 
 
-def kernel_argtypes_mt() -> List[type]:
-    """The ctypes ``argtypes`` declaration for :data:`KERNEL_FUNCTION_MT`.
+def load_kernel() -> Optional[Any]:
+    """Build (once per source/flags key) and load ``sta_run``.
 
-    The multithreaded entry point takes the serial kernel's parameter
-    list plus a trailing ``int64_t num_threads``; its ``scratch`` must
-    hold ``4 × B × num_threads`` doubles (one private block per worker).
-    """
-    return kernel_argtypes() + [ctypes.c_int64]
-
-
-def kernel_abi() -> Dict[str, Tuple[List[type], Optional[type]]]:
-    """Every exported kernel entry point → (argtypes, restype).
-
-    The C-ABI cross-checker iterates this registry, so adding a kernel
-    entry point here is what puts it under the lint gate's protection.
-    """
-    return {
-        KERNEL_FUNCTION: (kernel_argtypes(), KERNEL_RESTYPE),
-        KERNEL_FUNCTION_MT: (kernel_argtypes_mt(), KERNEL_RESTYPE),
-    }
-
-
-def _load_functions() -> Optional[Tuple[object, Optional[object]]]:
-    """Build/load the kernel library; return ``(serial_fn, mt_fn)``.
+    Returns ``None`` when the kernel is unavailable.
 
     The compiled shared object is cached per source/flag hash under the
-    artifact cache directory; builds are atomic (compile to a temp file,
-    then ``os.replace``) so concurrent processes — e.g. ``table1``
-    workers — never load a half-written library.  ``mt_fn`` is ``None``
-    for a stale library that predates the multithreaded entry point
-    (possible only with a hand-placed ``.so``, since the build key
-    hashes the source).
+    artifact cache directory, next to the SHA-256 its build recorded.  A
+    cached file that fails that digest or does not load — a truncated or
+    otherwise corrupt ``.so`` — is deleted and rebuilt once, so one bad
+    file never disables the native path for every later process.
     """
     global _cached, _cached_key
     if os.environ.get("REPRO_NO_NATIVE"):
@@ -401,66 +591,20 @@ def _load_functions() -> Optional[Tuple[object, Optional[object]]]:
         return _cached
 
     lib_path = _cache_dir() / "native" / f"sta_kernel_{key}.so"
-    if not lib_path.exists():
-        tmp = None
-        try:
-            lib_path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=lib_path.parent, suffix=".so.tmp"
-            )
-            os.close(fd)
-            subprocess.run(
-                ["cc", *cflags, str(_SOURCE), "-o", tmp, "-lm"],
-                check=True,
-                capture_output=True,
-                timeout=120,
-            )
-            os.replace(tmp, lib_path)
-        except (OSError, subprocess.SubprocessError, ValueError):
-            # No compiler, compile error, timeout, or an unwritable cache
-            # dir — all mean "stay on the numpy path", never a crash.
-            if tmp is not None:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
+    fn = _open(lib_path) if _intact(lib_path) else None
+    if fn is None:
+        for stale in (lib_path, _digest_path(lib_path)):
+            try:
+                stale.unlink()
+            except OSError:
+                pass
+        if not _compile(lib_path, cflags):
             return None
-    try:
-        lib = ctypes.CDLL(str(lib_path))
-        fn = getattr(lib, KERNEL_FUNCTION)
-    except (OSError, AttributeError):
-        return None
-    fn.argtypes = kernel_argtypes()
-    fn.restype = KERNEL_RESTYPE
-    fn_mt: Optional[object] = None
-    try:
-        raw_mt = getattr(lib, KERNEL_FUNCTION_MT)
-    except AttributeError:
-        raw_mt = None
-    if raw_mt is not None:
-        raw_mt.argtypes = kernel_argtypes_mt()
-        raw_mt.restype = KERNEL_RESTYPE
-        fn_mt = raw_mt
-    # Per-process memo of the loaded ctypes functions: workers each
+        fn = _open(lib_path)
+        if fn is None:
+            return None
+    # Per-process memo of the loaded ctypes function: workers each
     # dlopen the (disk-shared) .so once; nothing reads this across
     # processes.
-    _cached, _cached_key = (fn, fn_mt), key  # repro-lint: disable=REPRO-PAR001
+    _cached, _cached_key = fn, key  # repro-lint: disable=REPRO-PAR001
     return _cached
-
-
-def load_kernel() -> Optional[object]:
-    """Return the serial ``sta_eval_gates`` ctypes function, or ``None``."""
-    loaded = _load_functions()
-    return None if loaded is None else loaded[0]
-
-
-def load_kernel_mt() -> Optional[object]:
-    """Return the ``sta_eval_gates_mt`` ctypes function, or ``None``.
-
-    ``None`` whenever :func:`load_kernel` would also return ``None``.
-    The function exists even when :func:`thread_backend` is ``"none"``
-    — it then sweeps the lane ranges sequentially, preserving the
-    bitwise contract with zero speedup.
-    """
-    loaded = _load_functions()
-    return None if loaded is None else loaded[1]

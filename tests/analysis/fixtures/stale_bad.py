@@ -9,5 +9,5 @@ does not exist at all.
 
 import numpy as np
 
-VALUES = np.zeros(4)  # repro-lint: disable=REPRO-NATIVE001
+VALUES = np.zeros(4)  # repro-lint: disable=REPRO-SHAPE001
 TOTAL = 0.0  # repro-lint: disable=REPRO-NOPE999

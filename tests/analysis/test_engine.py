@@ -172,7 +172,7 @@ def test_project_rules_registered_and_catalogued():
     catalog_ids = [entry["id"] for entry in catalog]
     assert catalog_ids == sorted(catalog_ids)
     # The catalog covers every per-file rule plus the whole-program
-    # project checks (REPRO-NATIVE001, REPRO-PAR001/002, REPRO-LINT001).
+    # project checks (REPRO-SHAPE001, REPRO-PAR001/002, REPRO-LINT001).
     assert set(catalog_ids) >= set(ids)
     for entry in catalog:
         assert entry["title"]

@@ -6,7 +6,7 @@ from repro.analysis import analyze_project_paths
 from repro.analysis.engine import LINT_RULE_ID
 
 FIXTURES = Path(__file__).parent / "fixtures"
-STALE_SELECT = {LINT_RULE_ID, "REPRO-NATIVE001", "REPRO-RNG001"}
+STALE_SELECT = {LINT_RULE_ID, "REPRO-SHAPE001", "REPRO-RNG001"}
 
 
 def test_stale_directives_are_reported():
@@ -17,7 +17,7 @@ def test_stale_directives_are_reported():
     messages = {v.line: v.message for v in report.violations}
     assert "disable-file=REPRO-RNG001" in messages[8]
     assert "anywhere in this file" in messages[8]
-    assert "disable=REPRO-NATIVE001" in messages[12]
+    assert "disable=REPRO-SHAPE001" in messages[12]
     assert "no finding on this line" in messages[12]
     assert "unknown rule id 'REPRO-NOPE999'" in messages[13]
 
@@ -42,7 +42,7 @@ def test_directives_in_docstrings_are_not_parsed(tmp_path):
 
 def test_stale_check_skips_inactive_rules():
     # With only REPRO-LINT001 selected, directives for rules that did
-    # not run (NATIVE001, RNG001) cannot be judged stale; an unknown
+    # not run (SHAPE001, RNG001) cannot be judged stale; an unknown
     # rule id is always reportable regardless of what ran.
     report = analyze_project_paths(
         [FIXTURES / "stale_bad.py"], select={LINT_RULE_ID}

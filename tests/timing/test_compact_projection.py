@@ -238,7 +238,6 @@ def no_kernel(monkeypatch):
         raise AssertionError("a bad column map reached the kernel")
 
     monkeypatch.setattr(native, "load_kernel", forbidden)
-    monkeypatch.setattr(native, "load_kernel_mt", forbidden)
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,25 @@
 """Tests for the sanitizer build mode and portable cache keys."""
 
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import repro
+from repro.circuit.benchmarks import load_circuit
+from repro.place.placer import place_netlist
 from repro.timing import native
+from repro.timing.library import STATISTICAL_PARAMETERS
+from repro.timing.sta import STAEngine
+
+BUILD_KERNEL = (
+    "from repro.timing import native; "
+    "assert native.load_kernel() is not None"
+)
 
 
 @pytest.fixture(autouse=True)
@@ -101,3 +116,33 @@ def test_load_kernel_raises_on_malformed_sanitize_env(monkeypatch):
     monkeypatch.setenv("REPRO_SANITIZE", "ubsann")
     with pytest.raises(ValueError):
         native.load_kernel()
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_truncated_cached_kernel_is_rebuilt(tmp_path, monkeypatch):
+    # A truncated .so (an interrupted copy, a full disk) used to pass the
+    # "already built" check and make every later process run numpy
+    # without saying so; dlopen on it dies of SIGBUS instead of failing.
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    # Build in another process, so this one never maps the file.
+    subprocess.run(
+        [sys.executable, "-c", BUILD_KERNEL], env=env, check=True, timeout=300
+    )
+    key = native.kernel_build_info()["key"]
+    lib = tmp_path / "native" / f"sta_kernel_{key}.so"
+    size = lib.stat().st_size
+    os.truncate(lib, size // 2)
+
+    assert native.load_kernel() is not None
+    assert lib.stat().st_size == size
+
+    netlist = load_circuit("c17")
+    engine = STAEngine(netlist, place_netlist(netlist, seed=1))
+    rng = np.random.default_rng(0)
+    samples = {
+        name: rng.standard_normal((16, netlist.num_gates)) * 0.1
+        for name in STATISTICAL_PARAMETERS
+    }
+    engine.run(samples)
+    assert engine.program.last_run_native is True
