@@ -72,6 +72,10 @@ class _Refiner:
         self.area_limit_fn = area_limit_fn
         self.max_vertices = max_vertices
         self.tri = IncrementalDelaunay.from_rectangle(xmin, ymin, xmax, ymax)
+        # Triangle id -> "is poor".  Ids are never reused and a live
+        # triangle's vertices never change, so the verdict is a pure
+        # function of the id and each triangle is judged once.
+        self._poor: Dict[int, bool] = {}
         # Boundary subsegments as *undirected* vertex-index pairs.
         self.segments: Set[Segment] = {(0, 1), (1, 2), (2, 3), (0, 3)}
         # Segments shorter than this are never split — a termination guard
@@ -136,7 +140,6 @@ class _Refiner:
         a, b = seg
         pa, pb = self._pt(a), self._pt(b)
         midpoint = (0.5 * (pa[0] + pb[0]), 0.5 * (pa[1] + pb[1]))
-        before = self.tri.num_triangles
         new_index = self.tri.insert(midpoint)
         if new_index in (a, b):
             return False
@@ -147,7 +150,6 @@ class _Refiner:
             raise RefinementError(
                 f"refinement exceeded max_vertices={self.max_vertices}"
             )
-        del before
         work.extend(self.tri.triangle_ids())
         return True
 
@@ -166,6 +168,13 @@ class _Refiner:
 
     # -- quality loop ------------------------------------------------------
     def _triangle_is_poor(self, tid: int) -> bool:
+        poor = self._poor.get(tid)
+        if poor is None:
+            poor = self._poor[tid] = self._judge(tid)
+        return poor
+
+    def _judge(self, tid: int) -> bool:
+        """Area and minimum-angle test of triangle ``tid`` (uncached)."""
         i, j, k = self.tri.triangle_vertices(tid)
         a, b, c = self._pt(i), self._pt(j), self._pt(k)
         area = triangle_area(a, b, c)

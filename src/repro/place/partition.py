@@ -35,9 +35,13 @@ class _GainBuckets:
         if index > self.max_index:
             self.max_index = index
 
-    def remove(self, cell: int, gain: int) -> None:
-        index = gain + self.offset
-        self.buckets[index].pop(cell, None)
+    def shift(self, cell: int, gains: List[int], delta: int) -> None:
+        """Add ``delta`` to ``gains[cell]`` and re-file the cell at the end
+        of its new bucket."""
+        gain = gains[cell]
+        gains[cell] = gain + delta
+        self.buckets[gain + self.offset].pop(cell, None)
+        self.insert(cell, gain + delta)
 
     def pop_best(self) -> Optional[tuple]:
         while self.max_index >= 0:
@@ -52,10 +56,11 @@ class _GainBuckets:
 
 def cut_size(nets: Sequence[Sequence[int]], sides: np.ndarray) -> int:
     """Number of nets with cells on both sides of the partition."""
+    side_of = np.asarray(sides).tolist()
     count = 0
     for net in nets:
-        first = sides[net[0]]
-        if any(sides[cell] != first for cell in net[1:]):
+        first = side_of[net[0]]
+        if any(side_of[cell] != first for cell in net[1:]):
             count += 1
     return count
 
@@ -113,7 +118,7 @@ def fm_bipartition(
     # Clean nets: dedupe pins, drop singletons and over-wide nets.
     clean_nets: List[List[int]] = []
     for net in nets:
-        pins = sorted(set(int(c) for c in net))
+        pins = sorted(set(map(int, net)))
         if len(pins) < 2 or len(pins) > net_degree_cap:
             continue
         if pins[0] < 0 or pins[-1] >= num_cells:
@@ -134,16 +139,16 @@ def fm_bipartition(
     max_degree = max((len(n) for n in cell_nets), default=1)
 
     def random_balanced_start() -> np.ndarray:
-        order = rng.permutation(num_cells)
-        sides = np.zeros(num_cells, dtype=np.int8)
+        weight_of = weights.tolist()
+        side_of = [0] * num_cells
         running = 0.0
         half = total_weight / 2.0
-        for cell in order:
+        for cell in rng.permutation(num_cells).tolist():
             if running < half:
-                running += weights[cell]
+                running += weight_of[cell]
             else:
-                sides[cell] = 1
-        return sides
+                side_of[cell] = 1
+        return np.array(side_of, dtype=np.int8)
 
     def optimize(sides: np.ndarray) -> np.ndarray:
         for _ in range(max_passes):
@@ -180,33 +185,40 @@ def _fm_pass(
     high: float,
     max_degree: int,
 ) -> bool:
-    """One FM pass; mutates ``sides`` in place; returns True on improvement."""
-    num_cells = len(sides)
-    # Per-net side population counts.
-    count = np.zeros((len(nets), 2), dtype=np.int32)
+    """One FM pass; mutates ``sides`` in place; returns True on improvement.
+
+    The pass runs on Python lists, not numpy scalars (indexing those in the
+    per-pin loops dominated placement time); ``sides`` is written back once.
+    """
+    side_of = sides.tolist()
+    weight_of = weights.tolist()
+    num_cells = len(side_of)
+    # Per-net population of each side: count[side][net].
+    count = ([0] * len(nets), [0] * len(nets))
     for net_index, net in enumerate(nets):
         for cell in net:
-            count[net_index, sides[cell]] += 1
+            count[side_of[cell]][net_index] += 1
 
-    gains = np.zeros(num_cells, dtype=np.int32)
+    gains = [0] * num_cells
     for cell in range(num_cells):
-        side = sides[cell]
+        own = count[side_of[cell]]
+        opposite = count[1 - side_of[cell]]
         g = 0
         for net_index in cell_nets[cell]:
-            if count[net_index, side] == 1:
+            if own[net_index] == 1:
                 g += 1
-            if count[net_index, 1 - side] == 0:
+            if opposite[net_index] == 0:
                 g -= 1
         gains[cell] = g
 
     buckets = _GainBuckets(max(max_degree, 1))
     for cell in range(num_cells):
-        buckets.insert(cell, int(gains[cell]))
+        buckets.insert(cell, gains[cell])
 
-    side_weight = np.array(
-        [weights[sides == 0].sum(), weights[sides == 1].sum()]
-    )
-    locked = np.zeros(num_cells, dtype=bool)
+    side_weight = [
+        float(weights[sides == 0].sum()), float(weights[sides == 1].sum())
+    ]
+    locked = [False] * num_cells
     moves: List[int] = []
     gain_history: List[int] = []
     deferred: List[tuple] = []
@@ -218,77 +230,60 @@ def _fm_pass(
             if locked[cell] or gain != gains[cell]:
                 best = buckets.pop_best()  # stale entry
                 continue
-            from_side = sides[cell]
-            new_to = side_weight[1 - from_side] + weights[cell]
-            if new_to > high:
+            if side_weight[1 - side_of[cell]] + weight_of[cell] > high:
                 deferred.append((cell, gain))
                 best = buckets.pop_best()
                 continue
-            break
-        else:
-            best = None
-        if best is None:
-            for cell, gain in deferred:
-                if not locked[cell] and gain == gains[cell]:
-                    buckets.insert(cell, gain)
             break
         for cell_d, gain_d in deferred:
             if not locked[cell_d] and gain_d == gains[cell_d]:
                 buckets.insert(cell_d, gain_d)
         deferred = []
+        if best is None:
+            break
 
         cell, gain = best
-        from_side = int(sides[cell])
+        from_side = side_of[cell]
         to_side = 1 - from_side
         locked[cell] = True
-        sides[cell] = to_side
-        side_weight[from_side] -= weights[cell]
-        side_weight[to_side] += weights[cell]
+        side_of[cell] = to_side
+        side_weight[from_side] -= weight_of[cell]
+        side_weight[to_side] += weight_of[cell]
         moves.append(cell)
-        gain_history.append(int(gain))
+        gain_history.append(gain)
 
         # Incremental gain update (standard FM bookkeeping).
+        count_from = count[from_side]
+        count_to = count[to_side]
         for net_index in cell_nets[cell]:
-            before_to = count[net_index, to_side]
+            before_to = count_to[net_index]
             if before_to == 0:
                 for other in nets[net_index]:
                     if not locked[other]:
-                        buckets.remove(other, int(gains[other]))
-                        gains[other] += 1
-                        buckets.insert(other, int(gains[other]))
+                        buckets.shift(other, gains, 1)
             elif before_to == 1:
                 for other in nets[net_index]:
-                    if not locked[other] and sides[other] == to_side:
-                        buckets.remove(other, int(gains[other]))
-                        gains[other] -= 1
-                        buckets.insert(other, int(gains[other]))
-            count[net_index, from_side] -= 1
-            count[net_index, to_side] += 1
-            after_from = count[net_index, from_side]
+                    if not locked[other] and side_of[other] == to_side:
+                        buckets.shift(other, gains, -1)
+            count_from[net_index] -= 1
+            count_to[net_index] += 1
+            after_from = count_from[net_index]
             if after_from == 0:
                 for other in nets[net_index]:
                     if not locked[other]:
-                        buckets.remove(other, int(gains[other]))
-                        gains[other] -= 1
-                        buckets.insert(other, int(gains[other]))
+                        buckets.shift(other, gains, -1)
             elif after_from == 1:
                 for other in nets[net_index]:
-                    if not locked[other] and sides[other] == from_side:
-                        buckets.remove(other, int(gains[other]))
-                        gains[other] += 1
-                        buckets.insert(other, int(gains[other]))
+                    if not locked[other] and side_of[other] == from_side:
+                        buckets.shift(other, gains, 1)
 
     if not moves:
         return False
     prefix_sums = np.cumsum(gain_history)
     best_index = int(np.argmax(prefix_sums))
-    best_gain = int(prefix_sums[best_index])
-    if best_gain <= 0:
-        # Roll back everything.
-        for cell in moves:
-            sides[cell] ^= 1
-        return False
-    # Roll back moves after the best prefix.
-    for cell in moves[best_index + 1 :]:
-        sides[cell] ^= 1
-    return True
+    improved = int(prefix_sums[best_index]) > 0
+    # Roll back the moves after the best prefix (all of them without gain).
+    for cell in moves[best_index + 1 if improved else 0 :]:
+        side_of[cell] ^= 1
+    sides[:] = side_of
+    return improved

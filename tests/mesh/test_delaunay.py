@@ -138,3 +138,30 @@ def test_incremental_insertion_invariants_property(points):
     mesh = tri.to_mesh()
     assert mesh.total_area() == pytest.approx(1.0, abs=1e-9)
     assert mesh.is_conforming()
+
+
+def test_triangle_ids_are_never_reused_and_never_change():
+    """The refiner memoises "is poor" per triangle id; that is sound only
+    because a removed id never comes back and a live id keeps its vertices.
+    """
+    rng = np.random.default_rng(2008)
+    tri = IncrementalDelaunay.from_rectangle(-1, -1, 1, 1)
+    seen = {tid: tri.triangle_vertices(tid) for tid in tri.triangle_ids()}
+    removed = set()
+    for step in range(400):
+        if step % 7 == 0:
+            # A repeat of an existing vertex (merged, mesh unchanged) or a
+            # point on the die edge (as in a Ruppert segment split).
+            u = int(rng.integers(tri.num_vertices))
+            point = tri.vertex(u) if step % 14 == 0 else (
+                float(rng.uniform(-1, 1)), -1.0
+            )
+        else:
+            point = (float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
+        tri.insert(point)
+        live = {tid: tri.triangle_vertices(tid) for tid in tri.triangle_ids()}
+        assert not removed & live.keys()
+        for tid, vertices in live.items():
+            assert seen.setdefault(tid, vertices) == vertices
+        removed |= seen.keys() - live.keys()
+    assert len(removed) > 400
