@@ -34,7 +34,10 @@ Performance comes from four structural decisions:
    temporaries and the per-block ``u`` projection all stay
    cache-resident; every sample matrix element is read from main memory
    exactly once.  Per-sample results are independent, so blocked and
-   unblocked runs are bitwise identical.
+   unblocked runs are bitwise identical.  The native kernel blocks the
+   same way inside one call, against its own per-worker budget
+   (``NATIVE_BLOCK_BYTE_BUDGET``), and hands whole blocks to its
+   workers.
 2. **Fused projection.**  Each parameter arrives as a value matrix plus
    an optional gate→column map: per-gate ``(N, N_g)`` samples (no map,
    the identity) or Algorithm 2's ``(N, n_t)`` triangle values with each
@@ -42,13 +45,15 @@ Performance comes from four structural decisions:
    triangle values over the same way).  The native kernel computes
    ``u = Σ_j w_j p_j[col_j]`` itself, per gate and lane, from a packed
    ``(K, B)`` block — every parameter's ``K_j`` value columns side by
-   side, each column's ``B`` sample lanes contiguous like the arenas —
-   and the per-row column/weight tables (``u_col``/``u_w``) that
-   :meth:`CompiledTimingProgram._pack_images` writes into the kernel's
-   program images once per :meth:`~CompiledTimingProgram.execute`
-   call, next to the slot schedule and the gate coefficients.  The
-   projection therefore threads with the lanes and stays bitwise under
-   every lane partition.  Neither the gathered ``(N, N_g)`` samples nor
+   side, each column's ``B`` sample lanes contiguous like the arenas,
+   packed by the worker that owns the block from the row-major value
+   matrices — and the per-row column/weight tables (``u_col``/``u_w``)
+   that :meth:`CompiledTimingProgram._pack_images` writes into the
+   kernel's program images once per
+   :meth:`~CompiledTimingProgram.execute` call, next to the slot
+   schedule and the gate coefficients.  The projection therefore
+   threads with the blocks and stays bitwise under every partition.
+   Neither the gathered ``(N, N_g)`` samples nor
    ``u`` is ever materialized; the gather costs 4 loads per gate per
    sample (Algorithm 2 reads ``4·n_t`` values per sample instead of
    ``4·N_g``).  ``sta_run`` validates both images and every buffer
@@ -108,20 +113,19 @@ from repro.timing.wire import LN9, WireModel, pack_wire_models
 #: counted against the budget.
 BLOCK_BYTE_BUDGET = 96 * 1024 * 1024
 
-#: Byte budget for the native kernel's per-block working set: the packed
+#: Byte budget for one native kernel worker's working set: its packed
 #: ``(K, N_b)`` value block (``K`` = summed value columns, ``4·n_t`` for
 #: Algorithm 2, ``4·N_g`` for per-gate samples), both arenas and the
-#: per-worker scratch.  The program images (slot schedule, coefficients,
-#: ``u_col``/``u_w``) are read once per gate, not per lane, and are not
-#: counted.  Much tighter than the numpy budget: the kernel
-#: reads each gate's value columns at scattered offsets, so the packed
-#: block should stay cache-resident.  On s15850/N=2000 (2-core Xeon,
-#: 4 MiB L2 per core) the Algorithm 2 sweep was flat within run-to-run
-#: noise from 1 to 24 MiB.  With ``T`` kernel threads the budget is
-#: divided by ``T``: each worker owns ``1/T`` of the block's lanes plus
-#: a private scratch block, and the per-core caches it runs out of don't
-#: grow with the team size.
-NATIVE_BLOCK_BYTE_BUDGET = 12 * 1024 * 1024
+#: four per-gate lane vectors.  The program images (slot schedule,
+#: coefficients, ``u_col``/``u_w``) are read once per gate, not per
+#: lane, and are not counted.  Much tighter than the numpy budget: the
+#: kernel reads each gate's value columns at scattered offsets, so the
+#: packed block should stay in the worker's core cache.  Every worker
+#: owns whole blocks, so the budget is per worker and does not shrink
+#: with the team.  On s15850/N=2000 (2-core Xeon, 4 MiB L2 per core)
+#: 4 MiB was the fastest budget at 1 and 2 workers for the Algorithm 2
+#: input (see ROADMAP item 1 for the sweep).
+NATIVE_BLOCK_BYTE_BUDGET = 4 * 1024 * 1024
 
 #: One parameter's input to :meth:`CompiledTimingProgram.execute`:
 #: ``(values, columns, weights)`` — an ``(N, K)`` value matrix, the
@@ -574,57 +578,44 @@ class CompiledTimingProgram:
         return max(32, min(num_samples, BLOCK_BYTE_BUDGET // per_sample))
 
     def _native_block_size(
-        self,
-        num_samples: int,
-        width: int,
-        threads: int = 1,
-        value_columns: int = 0,
+        self, num_samples: int, width: int, value_columns: int = 0
     ) -> int:
-        """Sample block size for the native kernel (see the budget note).
+        """Lanes per native kernel block (see the budget note).
 
-        The per-sample working set is the lane's ``K`` packed values
-        (``value_columns``, every parameter's columns side by side), its
-        arena slots and its share of the scratch.
-        ``threads`` divides the byte budget so each worker's share of
-        the block — its lane slice of the arenas and values, plus its
-        private ``4 × B`` scratch block — still fits the per-core cache
-        it actually runs out of.
+        One worker's per-sample working set is the lane's ``K`` packed
+        values (``value_columns``, every parameter's columns side by
+        side), its arrival and slew in each of the ``width`` arena rows
+        and its four lane vectors.  Blocks are whole 8-lane (64-byte) lines so every arena
+        row keeps the base's alignment, at least 32 lanes so the inner
+        loops vectorize, and never longer than the run.
         """
-        per_sample = 8 * (
-            max(value_columns, 0)
-            + 2 * max(width, 1)
-            + 4 * max(threads, 1)
-            + 4
-        )
-        budget = NATIVE_BLOCK_BYTE_BUDGET // max(threads, 1)
-        # Whole 64-byte lines per arena row: the kernel cuts the lane
-        # partition at line boundaries, which needs every row to share
-        # the base's line phase.
-        lanes = budget // per_sample // 8 * 8
-        return max(32, min(num_samples, lanes))
+        per_sample = 8 * (max(value_columns, 0) + 2 * max(width, 1) + 4)
+        lanes = NATIVE_BLOCK_BYTE_BUDGET // per_sample // 8 * 8
+        return max(1, min(num_samples, max(32, lanes)))
 
     def native_scratch_bytes(
         self, threads: int = 1, value_columns: int = 0
     ) -> int:
         """Transient bytes one native ``execute`` holds at ``threads``.
 
-        The arenas, the per-worker scratch blocks, and the packed
-        ``(K, B)`` value block for a full-sized (budget-bound) block,
-        where ``K = value_columns`` is the summed width of the value
-        matrices a run passes (``P·N_g`` for per-gate samples, ``Σ n_t``
-        for Algorithm 2's triangle values).  Not part of
+        Each worker of the team (at most ``native.MAX_TEAM``) owns both
+        arenas and a scratch block — its packed ``(K, B)`` value block
+        and four lane vectors — for a full-sized (budget-bound) block,
+        where ``K = value_columns`` is the summed
+        width of the value matrices a run passes (``P·N_g`` for per-gate
+        samples, ``Σ n_t`` for Algorithm 2's triangle values).  A run
+        with fewer blocks than workers holds less.  Not part of
         :meth:`resident_bytes` — these buffers live only for the
         duration of a run — but the service accounts them so a
         thread-count change shows up in capacity planning.
         """
-        threads = max(int(threads), 1)
+        team = min(max(int(threads), 1), native.MAX_TEAM)
         value_columns = max(int(value_columns), 0)
         width = self.num_slots
         block = self._native_block_size(
-            NATIVE_BLOCK_BYTE_BUDGET, width, threads, value_columns
+            NATIVE_BLOCK_BYTE_BUDGET, width, value_columns
         )
-        per_block = 2 * width + 4 * threads + value_columns
-        return 8 * block * per_block
+        return 8 * team * block * (2 * width + value_columns + 4)
 
     def execute(
         self,
@@ -768,74 +759,49 @@ class CompiledTimingProgram:
         keep_all: bool,
         threads: int = 1,
     ) -> CompiledRunOutput:
-        """Drive ``sta_kernel.c``'s ``sta_run`` over sample blocks.
+        """Evaluate every sample with one ``sta_kernel.c`` ``sta_run`` call.
 
         The numpy side packs the program images once per call
-        (:meth:`_pack_images`), packs each block's parameter values as
-        ``(K, B)`` value columns — every parameter's columns side by
-        side, each column's sample lanes contiguous — and reads back the
-        end arrivals.  The projection ``u`` and everything after it live
-        in the kernel's fused per-gate loop.  The packed block and the
-        arenas are flat ``(rows × B)`` buffers, so partial trailing
-        blocks simply use a shorter sample stride — per-sample results
-        are independent of the blocking, keeping chunked runs bitwise
-        identical.
-
-        With ``threads > 1`` the block's sample lanes are partitioned
-        across the kernel's worker team; each worker gets a private
-        ``4 × B`` scratch block inside ``kscratch``.  Per-lane arithmetic
-        is identical under every partition, so results are bitwise
-        independent of ``threads``.  The kernel validates the images and
-        every buffer length on entry and a rejected call raises
-        :class:`~repro.timing.native.NativeKernelError`.
+        (:meth:`_pack_images`), hands the kernel each parameter's
+        row-major ``(N, K_j)`` value matrix as is, and takes the
+        worst delay over the ``(ends, N)`` arrivals the kernel writes.
+        The kernel cuts the samples into cache-sized blocks of
+        :meth:`_native_block_size` lanes and its workers each take whole
+        blocks, packing them into ``(K, B)`` value columns (every
+        parameter's columns side by side, each column's lanes
+        contiguous) in private scratch.  Per-lane arithmetic does not
+        depend on the block or worker that holds a lane, so results are
+        bitwise independent of ``threads`` and of chunking.  The kernel
+        validates the images and every buffer length on entry and a
+        rejected call raises :class:`~repro.timing.native.NativeKernelError`.
         """
-        threads = max(int(threads), 1)
         width = self.num_nets if keep_all else self.num_slots
         products = list(parameter_products or ())
         prog, coef = self._pack_images(keep_all, products, input_slew_ps)
-        value_cols = sum(values.shape[1] for values, _, _ in products)
-        block = self._native_block_size(
-            num_samples, width, threads, value_cols
+        matrices = [
+            np.ascontiguousarray(v, dtype=np.float64) for v, _, _ in products
+        ]
+        value_cols = sum(m.shape[1] for m in matrices)
+        block = self._native_block_size(num_samples, width, value_cols)
+        team = native.team_size(threads, num_samples, block)
+
+        arena_a = np.empty(team * width * block)
+        arena_s = np.empty(team * width * block)
+        scratch = np.empty(team * (value_cols + 4) * block)
+        out_names = self.net_order if keep_all else self._end_names
+        arrivals = np.empty((len(out_names), num_samples))
+        native.run_kernel(
+            kernel, prog, coef, matrices, arena_a, arena_s, scratch,
+            arrivals, num_samples, block, threads,
         )
 
-        worst_idx = self._end_cols if keep_all else self._end_slots
-        out_names = self.net_order if keep_all else self._end_names
-        end_out = np.empty((len(out_names), num_samples))
-        worst = np.empty(num_samples)
-
-        arena_a = np.empty(width * block)
-        arena_s = np.empty(width * block)
-        kscratch = np.empty(4 * block * threads)
-        packed = np.empty(block * value_cols) if products else None
-
-        for start in range(0, num_samples, block):
-            stop = min(start + block, num_samples)
-            rows = stop - start
-            if packed is not None:
-                lanes = packed[: value_cols * rows].reshape(value_cols, rows)
-                offset = 0
-                for values, _, _ in products:
-                    cols = values.shape[1]
-                    lanes[offset : offset + cols] = values[start:stop].T
-                    offset += cols
-            native.run_kernel(
-                kernel, prog, coef, packed, arena_a, arena_s, kscratch,
-                rows, threads,
-            )
-            av = arena_a[: width * rows].reshape(width, rows)
-            ends = None
-            if worst_idx.size:
-                ends = av[worst_idx]
-                np.max(ends, axis=0, out=worst[start:stop])
-            else:
-                worst[start:stop] = -np.inf
-            if keep_all:
-                end_out[:, start:stop] = av
-            elif ends is not None:
-                end_out[:, start:stop] = ends
-
+        ends = arrivals[self._end_cols] if keep_all else arrivals
+        if ends.shape[0]:
+            worst = ends.max(axis=0)
+        else:
+            worst = np.full(num_samples, -np.inf)
         end_arrivals = {
-            net: end_out[i] for i, net in enumerate(out_names)
+            net: arrivals[i] for i, net in enumerate(out_names)
         }
         return CompiledRunOutput(
             end_arrivals=end_arrivals,
@@ -861,6 +827,12 @@ class CompiledTimingProgram:
         out-of-bounds access.
         """
         u_col, u_w = self._projection_tables(products)
+        v_cols = np.array([v.shape[1] for v, _, _ in products], np.int64)
+        end_slot = (
+            np.arange(self.num_nets, dtype=np.int64)
+            if keep_all
+            else self._end_slots
+        )
         pi_idx = self._pi_cols if keep_all else self._pi_slots
         dff_idx = self._dff_out_cols if keep_all else self._dff_out_slots
         counts = {
@@ -871,6 +843,7 @@ class CompiledTimingProgram:
             "width": self.num_nets if keep_all else self.num_slots,
             "num_params": len(products),
             "num_value_cols": sum(v.shape[1] for v, _, _ in products),
+            "num_ends": end_slot.size,
         }
         prog = _image(
             [native.STA_MAGIC] + [counts[name] for name in native.PROG_COUNTS],
@@ -883,6 +856,8 @@ class CompiledTimingProgram:
                 ),
                 "p_slot": self._k_p_col if keep_all else self._k_p_slot,
                 "u_col": u_col,
+                "v_cols": v_cols,
+                "end_slot": end_slot,
             },
             native.PROG_SECTIONS,
             np.int64,

@@ -1,22 +1,23 @@
-"""Build, load and call the optional native STA block kernel.
+"""Build, load and call the optional native STA sweep kernel.
 
 :mod:`repro.timing.compiled` evaluates sample blocks with numpy array
 operations.  When a C compiler is available, the same flattened program
 can instead be driven through ``sta_kernel.c`` — a single fused pass per
 gate that runs several times faster than the array formulation (no
-intermediate arrays, no per-op dispatch).  This module compiles that
-kernel on first use with the system ``cc`` into the artifact cache
-directory (``REPRO_CACHE_DIR``, default ``.repro_cache``) and loads it
-with :mod:`ctypes`; nothing is installed and no third-party build
-tooling is used.
+intermediate arrays, no per-op dispatch) — in one call per run.  This
+module compiles that kernel on first use with the system ``cc`` into the
+artifact cache directory (``REPRO_CACHE_DIR``, default ``.repro_cache``)
+and loads it with :mod:`ctypes`; nothing is installed and no third-party
+build tooling is used.
 
 One entry point.  The kernel exports a single function, ``sta_run``
 (:data:`KERNEL_FUNCTION`), which takes two self-describing program
 images — an int64 ``prog`` and a float64 ``coef``, each a header of
 counts and section offsets followed by the sections (layout in
 ``sta_kernel.c``, section names in :data:`PROG_SECTIONS` and
-:data:`COEF_SECTIONS`) — plus the value block, the arenas, the scratch,
-each with its length, and the row and thread counts.  Threads = 1 is the
+:data:`COEF_SECTIONS`) — plus the parameter value matrices, the
+per-worker arenas and scratch, the end-arrival output, each with its
+length, and the row, block and thread counts.  Threads = 1 is the
 serial sweep.  :func:`run_kernel` is the only caller.
 
 Loud validation.  ``sta_run`` checks the headers against the buffer
@@ -36,17 +37,20 @@ Results are within floating-point reassociation error (``rtol=1e-12``)
 of both the numpy path and the reference engine, and are bitwise
 reproducible across chunk/block partitionings.
 
-Threading: ``sta_run`` partitions the sample lanes of each block across
-a worker team.  The parallel backend is probed at build time
-(:func:`thread_backend`): OpenMP when a ``-fopenmp`` compile succeeds,
-raw pthreads otherwise, sequential-sweep fallback when neither works —
-and the chosen backend's flags are folded into the build key, so
+Threading: ``sta_run`` cuts the run's samples into cache-sized blocks
+and a team of ``min(threads, blocks, MAX_TEAM)`` workers
+(:func:`team_size`) evaluates whole blocks, each claiming the next free
+block when it finishes one, with private arenas and scratch.  The
+parallel backend is probed at build time (:func:`thread_backend`):
+OpenMP when a ``-fopenmp`` compile succeeds, raw pthreads otherwise, a
+single worker when neither works — and the chosen backend's flags are folded into the build key, so
 toolchains with different threading support never share a ``.so``.
 ``REPRO_NATIVE_THREADS`` selects the worker count (unset → 1,
 ``auto``/``0`` → all cores, a positive integer → that many; anything
 else raises ``ValueError``) and ``REPRO_NATIVE_THREAD_BACKEND`` can pin
-the backend for testing.  Per-lane arithmetic is identical for every
-lane partition, so results are bitwise independent of the thread count.
+the backend for testing.  Per-lane arithmetic is identical whichever
+block or worker holds a lane, so results are bitwise independent of the
+thread count and the block size.
 
 Setting ``REPRO_SANITIZE=ubsan`` (or ``asan``, comma-separable) switches
 to an instrumented build — ``-O1 -g -fsanitize=... -fno-sanitize-
@@ -88,6 +92,10 @@ _SANITIZE_BASE_CFLAGS = ["-O1", "-g", "-shared", "-fPIC"]
 
 #: The one exported entry point of ``sta_kernel.c``.
 KERNEL_FUNCTION = "sta_run"
+
+#: Most workers one ``sta_run`` call runs, whatever ``threads`` asks for
+#: (``STA_MAX_TEAM`` in ``sta_kernel.c``).
+MAX_TEAM = 64
 
 #: Compiler flags per thread backend.  ``pthreads`` defines
 #: ``REPRO_USE_PTHREADS`` so ``sta_kernel.c`` compiles its pthread
@@ -161,8 +169,8 @@ def native_thread_count() -> int:
     thread-scaling measurement.
 
     Results never depend on this knob — the kernel's per-lane
-    arithmetic is identical under every lane partition — only speed
-    does.
+    arithmetic is identical whichever worker evaluates a lane — only
+    speed does.
     """
     raw = os.environ.get("REPRO_NATIVE_THREADS", "").strip()
     if not raw:
@@ -226,8 +234,8 @@ def thread_backend() -> str:
 
     Probes the toolchain once per process: ``"openmp"`` when a
     ``-fopenmp`` compile succeeds, else ``"pthreads"`` when ``-pthread``
-    works, else ``"none"`` (``sta_run`` then sweeps a threaded call's
-    lane ranges sequentially).  ``REPRO_NATIVE_THREAD_BACKEND``
+    works, else ``"none"`` (``sta_run`` then evaluates every block of a
+    threaded call on one worker).  ``REPRO_NATIVE_THREAD_BACKEND``
     pins the answer — ``openmp``/``pthreads``/``none``, case-insensitive
     — skipping the probe, which is how tests exercise the fallback
     paths deterministically; an unknown value raises ``ValueError``.
@@ -349,6 +357,7 @@ PROG_COUNTS = (
     "width",
     "num_params",
     "num_value_cols",
+    "num_ends",
 )
 
 #: Sections of the int64 ``prog`` image, in layout order.
@@ -359,6 +368,8 @@ PROG_SECTIONS = (
     "g_out_slot",
     "p_slot",
     "u_col",
+    "v_cols",
+    "end_slot",
 )
 
 #: Sections of the float64 ``coef`` image, in layout order.
@@ -392,6 +403,7 @@ ERROR_CODES: Dict[int, Tuple[str, str]] = {
     4: ("prog", "does not start with the STA1 magic word"),
     5: ("coef", "is missing or shorter than its header"),
     6: ("coef", "does not start with the STA1 magic word"),
+    7: ("block", "must lie in [1, 2**30]"),
     50: ("pi_slot", "has an entry outside [0, width)"),
     51: ("dff_slot", "has an entry outside [0, width)"),
     52: ("g_fanin", "has an entry outside [1, num_pins]"),
@@ -399,10 +411,14 @@ ERROR_CODES: Dict[int, Tuple[str, str]] = {
     54: ("g_out_slot", "has an entry outside [0, width)"),
     55: ("p_slot", "has an entry outside [0, width)"),
     56: ("u_col", "has an entry outside [0, num_value_cols)"),
-    60: ("values", "is shorter than num_value_cols * rows"),
-    61: ("arena_a", "is shorter than width * rows"),
-    62: ("arena_s", "is shorter than width * rows"),
-    63: ("scratch", "is shorter than 4 * rows * threads"),
+    57: ("v_cols", "has a negative entry or does not sum to num_value_cols"),
+    58: ("end_slot", "has an entry outside [0, width)"),
+    59: ("values", "does not hold num_params matrices"),
+    60: ("values", "has a matrix missing or shorter than rows * v_cols"),
+    61: ("arena_a", "is shorter than team * width * block"),
+    62: ("arena_s", "is shorter than team * width * block"),
+    63: ("scratch", "is shorter than team * (num_value_cols + 4) * block"),
+    64: ("end_out", "is shorter than num_ends * rows"),
 }
 ERROR_CODES.update(
     {10 + 1 + i: (name, "count must lie in [0, 2**30]")
@@ -450,19 +466,34 @@ def _buffer(array: Optional[np.ndarray], dtype: type) -> Tuple[Any, int]:
     return array.ctypes.data, array.size
 
 
+def team_size(threads: int, rows: int, block: int) -> int:
+    """Workers ``sta_run`` runs for ``rows`` lanes in ``block``-lane blocks.
+
+    ``min(threads, number of blocks, MAX_TEAM)``, the kernel's own rule:
+    per-worker buffers sized for this team are exactly what it checks.
+    """
+    blocks = -(-int(rows) // int(block)) if block > 0 else 0
+    return max(0, min(int(threads), blocks, MAX_TEAM))
+
+
 def run_kernel(
     kernel: Any,
     prog: np.ndarray,
     coef: np.ndarray,
-    values: Optional[np.ndarray],
+    values: Optional[Sequence[Optional[np.ndarray]]],
     arena_a: np.ndarray,
     arena_s: np.ndarray,
     scratch: np.ndarray,
+    end_out: np.ndarray,
     rows: int,
+    block: int,
     threads: int,
 ) -> None:
-    """Evaluate one sample block with ``sta_run``; raise on a rejected call.
+    """Evaluate ``rows`` samples with one ``sta_run`` call; raise on a
+    rejected call.
 
+    ``values`` holds one row-major ``(rows, K_j)`` matrix per parameter
+    (``None`` for none), in the order of the images' projection tables.
     The kernel validates everything it is handed against the buffer
     lengths passed alongside, so the only Python-side obligations left
     are the element type and layout each pointer claims, and the one
@@ -473,15 +504,24 @@ def run_kernel(
     s_ptr, s_len = _buffer(arena_s, np.float64)
     if s_len != arena_len:
         raise NativeKernelError(61 if arena_len < s_len else 62)
+    matrices = list(values or ())
+    ptrs = (ctypes.c_void_p * len(matrices))()
+    lens = (ctypes.c_int64 * len(matrices))()
+    for j, matrix in enumerate(matrices):
+        ptrs[j], lens[j] = _buffer(matrix, np.float64)
     code = kernel(
         *_buffer(prog, np.int64),
         *_buffer(coef, np.float64),
-        *_buffer(values, np.float64),
+        ptrs if matrices else None,
+        lens if matrices else None,
+        len(matrices),
         a_ptr,
         s_ptr,
         arena_len,
         *_buffer(scratch, np.float64),
+        *_buffer(end_out, np.float64),
         rows,
+        block,
         threads,
     )
     if code:
@@ -554,11 +594,14 @@ def _open(lib_path: Path) -> Optional[Any]:
     fn.argtypes = [
         ctypes.c_void_p, ctypes.c_int64,    # prog
         ctypes.c_void_p, ctypes.c_int64,    # coef
-        ctypes.c_void_p, ctypes.c_int64,    # values
+        ctypes.c_void_p, ctypes.c_void_p,   # values, values_len
+        ctypes.c_int64,                     # num_values
         ctypes.c_void_p, ctypes.c_void_p,   # arena_a, arena_s
         ctypes.c_int64,                     # arena_len
         ctypes.c_void_p, ctypes.c_int64,    # scratch
-        ctypes.c_int64, ctypes.c_int64,     # rows, threads
+        ctypes.c_void_p, ctypes.c_int64,    # end_out
+        ctypes.c_int64, ctypes.c_int64,     # rows, block
+        ctypes.c_int64,                     # threads
     ]
     fn.restype = ctypes.c_int64
     return fn

@@ -3,9 +3,11 @@
 A valid image from the packer must evaluate (bitwise as the engine's own
 native run); every corruption of it — each header count or section
 offset moved by one, a slot past the arena, a zero fanin, fanins that do
-not sum to the pin count, a value column out of range, buffers too short
-for the block, negative rows or threads — must come back as its own
-error code, raised as :class:`~repro.timing.native.NativeKernelError`,
+not sum to the pin count, a value column out of range, value-column
+counts that do not sum to K, an end slot past the arena, a missing or
+short parameter matrix, per-worker buffers too short for the team, an
+output too short for the run, negative rows, threads or block — must
+come back as its own error code, raised as :class:`~repro.timing.native.NativeKernelError`,
 never as a crash.  Run under UBSan and ASan in CI: a check that lets an
 access through would be reported there even if it did not crash here.
 """
@@ -37,7 +39,11 @@ y = NOT(n3)
 """
 
 ROWS = 13
+# Three blocks of 5, 5 and 3 lanes: two workers, one of them with two
+# blocks, the last one short.
+BLOCK = 5
 THREADS = 2
+TEAM = 2
 SLEW = 20.0
 NUM_COUNTS = len(native.PROG_COUNTS)
 
@@ -71,34 +77,45 @@ def products(program):
     ]
 
 
+def _value_cols(products):
+    return sum(v.shape[1] for v, _, _ in products)
+
+
+def _num_ends(program):
+    return len(program._end_names)
+
+
 @pytest.fixture()
 def call(kernel, program, products):
     """Run ``sta_run`` on (optionally corrupted) images; return the code."""
     width = program.num_slots
-    values = np.concatenate([v.T for v, _, _ in products]).ravel()
+    matrices = [v for v, _, _ in products]
+    work = _value_cols(products) + 4
 
     def run(
         prog=None,
         coef=None,
-        values=values,
-        arena_len=width * ROWS,
-        scratch_len=4 * ROWS * THREADS,
+        values=matrices,
+        arena_len=TEAM * width * BLOCK,
+        scratch_len=TEAM * work * BLOCK,
+        end_len=_num_ends(program) * ROWS,
         rows=ROWS,
+        block=BLOCK,
         threads=THREADS,
     ):
         good_prog, good_coef = program._pack_images(False, products, SLEW)
-        arena_a = np.empty(arena_len)
-        arena_s = np.empty(arena_len)
         try:
             native.run_kernel(
                 kernel,
                 good_prog if prog is None else prog,
                 good_coef if coef is None else coef,
                 values,
-                arena_a,
-                arena_s,
+                np.empty(arena_len),
+                np.empty(arena_len),
                 np.empty(scratch_len),
+                np.empty(end_len),
                 rows,
+                block,
                 threads,
             )
         except NativeKernelError as error:
@@ -115,18 +132,20 @@ def images(program, products):
 def test_valid_image_matches_the_engine_bitwise(kernel, program, products):
     prog, coef = images(program, products)
     width = program.num_slots
-    arena = np.empty(width * ROWS)
-    values = np.concatenate([v.T for v, _, _ in products]).ravel()
+    arrivals = np.empty((_num_ends(program), ROWS))
     native.run_kernel(
-        kernel, prog, coef, values, arena, np.empty(width * ROWS),
-        np.empty(4 * ROWS * THREADS), ROWS, THREADS,
+        kernel, prog, coef, [v for v, _, _ in products],
+        np.empty(TEAM * width * BLOCK), np.empty(TEAM * width * BLOCK),
+        np.empty(TEAM * (_value_cols(products) + 4) * BLOCK), arrivals,
+        ROWS, BLOCK, THREADS,
     )
-    worst = arena[: width * ROWS].reshape(width, ROWS)[program._end_slots]
     expected = program.execute(
         ROWS, parameter_products=products, input_slew_ps=SLEW
     )
     assert program.last_run_native
-    assert np.array_equal(worst.max(axis=0), expected.worst_delay)
+    assert np.array_equal(arrivals.max(axis=0), expected.worst_delay)
+    for row, net in zip(arrivals, program._end_names):
+        assert np.array_equal(row, expected.end_arrivals[net])
 
 
 def test_headers_describe_the_sections(program, products):
@@ -154,7 +173,8 @@ COUNT_CASES = {
     "num_pins": (24, 24),
     "width": (61, None),        # -1: some slot lands past the arena
     "num_params": (25, 25),
-    "num_value_cols": (60, 56),
+    "num_value_cols": (57, 56),
+    "num_ends": (27, 27),
 }
 
 
@@ -229,6 +249,9 @@ def _section(image, name):
         ("u_col", "K", 56),
         ("u_col", -1, 56),
         ("g_fanin", 0, 52),
+        ("v_cols", -1, 57),
+        ("end_slot", "width", 58),
+        ("end_slot", -1, 58),
     ],
 )
 def test_out_of_range_entries(call, program, products, name, value, code):
@@ -247,26 +270,81 @@ def test_fanins_must_sum_to_the_pin_count(call, program, products):
     assert call(prog=prog) == 53
 
 
+def test_value_columns_must_sum_to_k(call, program, products):
+    # Moving one column from the per-gate parameter to the compact one
+    # keeps the sum; the kernel then reads the compact matrix one column
+    # wide of its length, which the matrix-length check catches.
+    prog, _ = images(program, products)
+    _section(prog, "v_cols")[0] += 1
+    assert call(prog=prog) == 57
+    _section(prog, "v_cols")[1] -= 1
+    assert call(prog=prog) == 60
+
+
 # ----------------------------------------------------------------------
 # Buffer lengths and scalar arguments.
 # ----------------------------------------------------------------------
-def test_short_buffers_are_rejected(call, program):
+def test_short_buffers_are_rejected(call, program, products):
     width = program.num_slots
+    work = _value_cols(products) + 4
     assert call() == 0
-    values = np.concatenate([np.zeros(1)] * 3)
-    assert call(values=values) == 60
-    assert call(values=None) == 60
-    assert call(arena_len=width * ROWS - 1) == 61
-    assert call(scratch_len=4 * ROWS * THREADS - 1) == 63
-    # Serial needs only one scratch block.
-    assert call(scratch_len=4 * ROWS, threads=1) == 0
+    short = [np.zeros((1, v.shape[1])) for v, _, _ in products]
+    assert call(values=short) == 60
+    assert call(values=[v for v, _, _ in products[:1]]) == 59
+    assert call(values=None) == 59
+    assert call(values=[products[0][0], None]) == 60
+    assert call(arena_len=TEAM * width * BLOCK - 1) == 61
+    assert call(scratch_len=TEAM * work * BLOCK - 1) == 63
+    assert call(end_len=_num_ends(program) * ROWS - 1) == 64
+    # Serial needs only one worker's arenas and scratch.
+    serial = call(arena_len=width * BLOCK, scratch_len=work * BLOCK, threads=1)
+    assert serial == 0
+
+
+def test_per_worker_buffers_carry_the_team_factor(call, program, products):
+    width = program.num_slots
+    work = _value_cols(products) + 4
+    assert call(arena_len=width * BLOCK) == 61
+    assert call(scratch_len=work * BLOCK) == 63
+
+
+def test_team_is_clamped_to_the_block_count(call, program, products):
+    # Three blocks: any thread count above three still runs three
+    # workers, and buffers for three are enough.
+    width = program.num_slots
+    work = _value_cols(products) + 4
+    assert call(threads=10**6) == 61
+    assert (
+        call(
+            arena_len=3 * width * BLOCK,
+            scratch_len=3 * work * BLOCK,
+            threads=10**6,
+        )
+        == 0
+    )
+    # One block holding every lane is one worker.
+    assert (
+        call(
+            arena_len=width * ROWS,
+            scratch_len=work * ROWS,
+            block=ROWS,
+            threads=10**6,
+        )
+        == 0
+    )
+
+
+def test_team_size_mirrors_the_kernel():
+    assert native.team_size(2, ROWS, BLOCK) == TEAM
+    assert native.team_size(10**6, ROWS, BLOCK) == 3
+    assert native.team_size(10**6, 10**9, 1) == native.MAX_TEAM
+    assert native.team_size(4, 0, BLOCK) == 0
 
 
 def test_arenas_of_different_lengths_name_the_short_one(
     kernel, program, products
 ):
     prog, coef = images(program, products)
-    values = np.concatenate([v.T for v, _, _ in products]).ravel()
     size = program.num_slots * ROWS
     for short, code in (("a", 61), ("s", 62)):
         arenas = {
@@ -275,8 +353,10 @@ def test_arenas_of_different_lengths_name_the_short_one(
         }
         with pytest.raises(NativeKernelError) as info:
             native.run_kernel(
-                kernel, prog, coef, values, arenas["a"], arenas["s"],
-                np.empty(4 * ROWS), ROWS, 1,
+                kernel, prog, coef, [v for v, _, _ in products],
+                arenas["a"], arenas["s"],
+                np.empty((_value_cols(products) + 4) * ROWS),
+                np.empty(_num_ends(program) * ROWS), ROWS, ROWS, 1,
             )
         assert info.value.code == code
         assert info.value.section == f"arena_{short}"
@@ -290,24 +370,35 @@ def test_negative_rows_and_threads(call, rows, threads, code):
     assert call(rows=rows, threads=threads) == code
 
 
+@pytest.mark.parametrize("block", [0, -1, 2**30 + 1])
+def test_block_out_of_range(call, block):
+    assert call(block=block) == 7
+
+
 def test_zero_rows_is_a_no_op(call):
-    assert call(rows=0, arena_len=0, scratch_len=0) == 0
+    assert call(rows=0, arena_len=0, scratch_len=0, end_len=0) == 0
 
 
 def test_pointer_helper_checks_dtype_and_layout(kernel, program, products):
     prog, coef = images(program, products)
     arena = np.empty(program.num_slots * ROWS)
-    scratch = np.empty(4 * ROWS)
-    values = np.concatenate([v.T for v, _, _ in products]).ravel()
+    scratch = np.empty((_value_cols(products) + 4) * ROWS)
+    end_out = np.empty(_num_ends(program) * ROWS)
+    values = [v for v, _, _ in products]
     with pytest.raises(TypeError, match="int64"):
         native.run_kernel(
             kernel, prog.astype(np.int32), coef, values, arena, arena,
-            scratch, ROWS, 1,
+            scratch, end_out, ROWS, ROWS, 1,
         )
     with pytest.raises(TypeError, match="C-contiguous"):
         native.run_kernel(
-            kernel, prog, coef, np.repeat(values, 2)[::2], arena, arena,
-            scratch, ROWS, 1,
+            kernel, prog, coef, [values[0], np.asfortranarray(values[1])],
+            arena, arena, scratch, end_out, ROWS, ROWS, 1,
+        )
+    with pytest.raises(TypeError, match="float64"):
+        native.run_kernel(
+            kernel, prog, coef, [values[0].astype(np.float32), values[1]],
+            arena, arena, scratch, end_out, ROWS, ROWS, 1,
         )
 
 

@@ -2,8 +2,9 @@
 
 Each test copies ``src/repro`` to a temporary directory, applies one text
 mutation to ``timing/compiled.py`` — the historical sizing bugs the
-kernel boundary has to survive — and runs c880 (N=65, two kernel
-threads) in a subprocess against the copy.  The run must stop with a
+kernel boundary has to survive — and runs c880 (N=1000, two kernel
+threads: several kernel blocks, so the team really has two workers) in
+a subprocess against the copy.  The run must stop with a
 :class:`~repro.timing.native.NativeKernelError` naming the bad section:
 no crash (a signal or sanitizer abort), and no numbers.  An unmutated
 copy, run the same way, must return its numbers.
@@ -35,9 +36,13 @@ netlist = load_circuit("c880")
 engine = STAEngine(netlist, place_netlist(netlist, seed=7))
 rng = np.random.default_rng(3)
 samples = {{
-    name: rng.standard_normal((65, netlist.num_gates)) * 0.1
+    name: rng.standard_normal((1000, netlist.num_gates)) * 0.1
     for name in STATISTICAL_PARAMETERS
 }}
+block = engine.program._native_block_size(
+    1000, engine.program.num_slots, 4 * netlist.num_gates
+)
+assert 1000 > block, block
 result = engine.run(samples, native_threads=2)
 assert engine.program.last_run_native
 print("worst", float(result.worst_delay.max()))
@@ -96,19 +101,39 @@ def test_unmutated_copy_returns_numbers(tmp_path):
 def test_scratch_without_its_thread_factor_is_rejected(tmp_path):
     proc = run_mutated(
         tmp_path,
-        "kscratch = np.empty(4 * block * threads)",
-        "kscratch = np.empty(4 * block)",
+        "scratch = np.empty(team * (value_cols + 4) * block)",
+        "scratch = np.empty((value_cols + 4) * block)",
     )
     assert_rejected(proc, "scratch")
+
+
+def test_arenas_without_the_team_factor_are_rejected(tmp_path):
+    proc = run_mutated(
+        tmp_path,
+        "arena_a = np.empty(team * width * block)\n"
+        "        arena_s = np.empty(team * width * block)",
+        "arena_a = np.empty(width * block)\n"
+        "        arena_s = np.empty(width * block)",
+    )
+    assert_rejected(proc, "arena_a")
 
 
 def test_arena_one_slot_short_is_rejected(tmp_path):
     proc = run_mutated(
         tmp_path,
-        "arena_a = np.empty(width * block)",
-        "arena_a = np.empty(width * block - 1)",
+        "arena_a = np.empty(team * width * block)",
+        "arena_a = np.empty(team * width * block - 1)",
     )
     assert_rejected(proc, "arena_a")
+
+
+def test_end_output_one_column_short_is_rejected(tmp_path):
+    proc = run_mutated(
+        tmp_path,
+        "arrivals = np.empty((len(out_names), num_samples))",
+        "arrivals = np.empty((len(out_names), num_samples - 1))",
+    )
+    assert_rejected(proc, "end_out")
 
 
 def test_gate_coefficient_section_one_entry_short_is_rejected(tmp_path):
